@@ -23,7 +23,9 @@
 //! normally be empty when each transaction runs, so the admission legs pin a
 //! few background transactions open for the whole measured run — their logged
 //! entries are what every workload operation must be admitted against, which
-//! puts the two-phase admission path itself on the critical path. The pinned
+//! puts admission itself on the critical path: the lock-free pre-screen and
+//! the complete pass under the structure lock, which checks every pinned
+//! entry again (re-anchoring the state-reading conditions). The pinned
 //! scripts include `contains` probes on hot prefilled keys so the skewed
 //! workload also produces genuine conflict verdicts, and a small prefill
 //! keeps copy-on-write detach cost from swamping the admission cost being

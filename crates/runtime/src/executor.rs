@@ -15,34 +15,31 @@
 //!
 //! # Concurrency protocol
 //!
-//! The runtime keeps the structure behind one mutex but keeps the *admission*
-//! work — the expensive part, one condition evaluation per outstanding
-//! operation — off that mutex. Uncommitted operations live in the sharded
-//! [`InFlightIndex`]; a monotone publish sequence (`publish_seq`) orders them.
-//! [`Transaction::execute`] runs in two phases:
+//! The runtime keeps the structure behind one mutex. Uncommitted operations
+//! live in the sharded [`InFlightIndex`]. [`Transaction::execute`] admits an
+//! operation in **one complete pass under the structure lock**: every live
+//! entry of another transaction gets the between-condition check against its
+//! captured pre-state, and every state-reading condition is also
+//! **re-anchored** at the live state — pre-state-anchored certificates alone
+//! do not compose across the operations admitted since an entry was logged
+//! (see `Shared::check_against`). Only then is the operation applied and its
+//! log entry published to the index, still under the lock.
 //!
-//! 1. **Optimistic phase (no structure lock).** Load `publish_seq` with
-//!    `Acquire` as a snapshot, read every other transaction's published
-//!    operations from the index (shard read locks only), and evaluate the
-//!    between conditions lock-free.
-//! 2. **Validated apply (structure lock).** Take the structure lock, give
-//!    the operations published *after* the snapshot their first full check,
-//!    and **re-anchor** every state-reading condition at the live state —
-//!    pre-state-anchored certificates alone do not compose across the
-//!    operations admitted since an entry was logged (see
-//!    `Shared::check_against_locked`). Then apply the operation, publish
-//!    its log entry to the index, and bump `publish_seq` with a `Release`
-//!    store — in that order, so any operation whose sequence number a later
-//!    `Acquire` load observes is already visible in its shard.
+//! Entries are published only while the structure lock is held, and the
+//! admission pass holds it, so the pass sees every entry whose effect is in
+//! the state it admits against: no sequence numbers, snapshots or memory
+//! orderings are needed to argue that no entry is missed. Before taking the
+//! lock, an **advisory pre-screen** runs the captured-pre-state check over
+//! the entries visible lock-free. It can reject early (most conflicts are
+//! found there, off the lock) but it never admits anything: whatever it saw
+//! is checked again by the locked pass.
 //!
-//! Publishing under the structure lock makes apply-and-publish atomic: no
-//! operation can take effect without being visible to the revalidation pass
-//! of every concurrent admission. Commit takes **no** structure lock — the
-//! committed effects are already applied, so commit only removes the
-//! transaction's slot from the index (O(own operations)). Abort removes the
-//! slot *and* applies the verified inverses, both under the structure lock,
-//! so no admission can run against a state that still contains an effect
-//! whose log entry has already disappeared.
+//! Commit takes **no** structure lock — the committed effects are already
+//! applied, so commit only removes the transaction's slot from the index
+//! (O(own operations)). Abort removes the slot *and* applies the verified
+//! inverses, both under the structure lock, so no admission can run against
+//! a state that still contains an effect whose log entry has already
+//! disappeared.
 //!
 //! Lock order: mode gate before structure mutex before index shard lock,
 //! never the reverse.
@@ -258,10 +255,6 @@ struct Shared {
     gatekeeper: CommutativityGatekeeper,
     rollback: InverseRollback,
     next_txn: AtomicU64,
-    /// Monotone count of published operations. Written only under the
-    /// structure lock (with `Release`); admission reads it with `Acquire` to
-    /// snapshot which operations its optimistic pass has covered.
-    publish_seq: AtomicU64,
     /// Monotone commit tickets, the serialization order certified by the
     /// between conditions (see [`Transaction::commit`]).
     commit_seq: AtomicU64,
@@ -282,42 +275,31 @@ struct Shared {
 }
 
 impl Shared {
-    /// Classifies the incoming operation against a batch of published
-    /// operations, translating admission outcomes to transaction errors.
-    fn check_against(
-        &self,
-        published: &[Arc<PublishedOp>],
-        op: &str,
-        op_idx: Option<u16>,
-        args: &[Value],
-    ) -> Result<(), TxnError> {
-        for p in published {
-            // Both operation names resolved to dense indices already (the
-            // logged one at publish time, the incoming one once per batch by
-            // the caller): the per-entry check hashes no strings.
-            let verdict = match (p.op_idx, op_idx) {
-                (Some(first), Some(second)) => self
-                    .gatekeeper
-                    .check_indexed(first, &p.entry, second, op, args),
-                _ => self.gatekeeper.check_entry(&p.entry, op, args),
-            };
-            match verdict {
-                Ok(()) => {}
-                Err(AdmissionError::Conflict(c)) => {
-                    self.conflicts.fetch_add(1, Ordering::Relaxed);
-                    return Err(TxnError::Conflict(c));
+    /// Resolves the incoming operation to its dense index, once per
+    /// `execute`; every per-entry check after that goes through indices and
+    /// hashes no strings. An operation outside the interface is refused
+    /// before it reaches the structure: with live entries of other
+    /// transactions (`others`) no condition can cover the pair, which is a
+    /// non-retryable [`TxnError::Condition`]; without any, it is the
+    /// structure's own unknown-operation [`TxnError::Dispatch`].
+    fn resolve(&self, op: &str, others: &[Arc<PublishedOp>]) -> Result<u16, TxnError> {
+        self.gatekeeper
+            .op_index(op)
+            .ok_or_else(|| match others.first() {
+                Some(p) => {
+                    TxnError::Condition(format!("no condition for pair {}/{op}", p.entry.op))
                 }
-                Err(AdmissionError::Evaluation(e)) => return Err(TxnError::Condition(e)),
-            }
-        }
-        Ok(())
+                None => DispatchError::UnknownOperation(op.to_string()).into(),
+            })
     }
 
-    /// The under-lock admission pass. Entries published after `snap` get the
-    /// full between-condition check — the optimistic pass never saw them.
-    /// In addition, **every** live entry whose condition reads the abstract
-    /// state is re-anchored: the condition must also hold with `s1` bound to
-    /// the current state (`state`, read under the held structure lock).
+    /// One admission pass of the incoming operation over `published`. Every
+    /// entry gets the between-condition check against its captured
+    /// pre-state. With `live` — the current abstract state, read under the
+    /// held structure lock — every entry whose condition reads the abstract
+    /// state is also **re-anchored**: the condition must hold with `s1`
+    /// bound to the live state as well. Without `live` the pass is the
+    /// lock-free pre-screen: it can only reject.
     ///
     /// The re-anchor closes a composition hole in pairwise admission. A
     /// condition certified against a logged entry's captured pre-state
@@ -331,42 +313,29 @@ impl Shared {
     /// three and move the `10` into the observed slot, breaking serial
     /// replay. Anchoring each certificate at the live state as well keeps
     /// every logged, state-dependent certificate current at each
-    /// intermediate state, so the certificates compose inductively.
+    /// intermediate state, so the certificates compose inductively when the
+    /// logged operation is an observer (for logged mutators they need not:
+    /// see the known gap in `docs/ARCHITECTURE.md`).
     /// State-free conditions are exempt: their verdict cannot drift, and the
     /// gatekeeper skips their re-evaluation.
-    fn check_against_locked(
+    fn check_against(
         &self,
         published: &[Arc<PublishedOp>],
         op: &str,
-        op_idx: Option<u16>,
+        op_idx: u16,
         args: &[Value],
-        snap: u64,
-        state: &Value,
+        live: Option<&Value>,
     ) -> Result<(), TxnError> {
         for p in published {
-            let fresh = p.seq > snap;
-            let verdict = match (p.op_idx, op_idx) {
-                (Some(first), Some(second)) => {
-                    let pre = if fresh {
-                        self.gatekeeper
-                            .check_indexed(first, &p.entry, second, op, args)
-                    } else {
-                        Ok(())
-                    };
-                    pre.and_then(|()| {
-                        self.gatekeeper
-                            .check_indexed_at(first, &p.entry, second, op, args, state)
-                    })
-                }
-                _ => {
-                    let pre = if fresh {
-                        self.gatekeeper.check_entry(&p.entry, op, args)
-                    } else {
-                        Ok(())
-                    };
-                    pre.and_then(|()| self.gatekeeper.check_entry_at(&p.entry, op, args, state))
-                }
-            };
+            let verdict = self
+                .gatekeeper
+                .check_indexed(p.op_idx, &p.entry, op_idx, op, args)
+                .and_then(|()| match live {
+                    Some(state) => self
+                        .gatekeeper
+                        .check_indexed_at(p.op_idx, &p.entry, op_idx, op, args, state),
+                    None => Ok(()),
+                });
             match verdict {
                 Ok(()) => {}
                 Err(AdmissionError::Conflict(c)) => {
@@ -427,7 +396,6 @@ impl SpeculativeRuntime {
                 rollback: InverseRollback::new(interface),
                 options,
                 next_txn: AtomicU64::new(1),
-                publish_seq: AtomicU64::new(0),
                 commit_seq: AtomicU64::new(0),
                 begun: AtomicU64::new(0),
                 commits: AtomicU64::new(0),
@@ -717,7 +685,8 @@ impl Transaction {
         self.mode = TxnMode::Pending;
     }
 
-    /// The optimistic path: two-phase admission, apply, publish.
+    /// The optimistic path: pre-screen, complete admission pass under the
+    /// structure lock, apply, publish.
     fn execute_speculative(
         &mut self,
         op: &str,
@@ -737,46 +706,38 @@ impl Transaction {
                 }
             }
         }
-        // One string resolution for the incoming operation; every per-entry
-        // check below goes through dense indices.
-        let op_idx = shared.gatekeeper.op_index(op);
 
-        // Optimistic phase: evaluate conditions against everything published
-        // up to `snap` without touching the structure lock.
-        let snap = shared.publish_seq.load(Ordering::Acquire);
+        // Advisory pre-screen, without the structure lock: it can reject
+        // early but never admits — the locked pass below re-checks all.
         shared.index.others_into(self.id, &mut self.scratch);
-        let optimistic = shared.check_against(&self.scratch, op, op_idx, args);
+        let screened = shared.resolve(op, &self.scratch).and_then(|op_idx| {
+            shared
+                .check_against(&self.scratch, op, op_idx, args, None)
+                .map(|()| op_idx)
+        });
         self.scratch.clear();
-        optimistic?;
+        let op_idx = screened?;
 
-        // Validated apply: under the structure lock, operations published
-        // after the snapshot get their first full check, and every
-        // state-reading condition is re-anchored at the live state (see
-        // `check_against_locked`).
+        // The complete admission pass. Entries are published only under the
+        // structure lock, so holding it, this pass sees every live entry.
         let mut structure = shared.structure.lock();
         shared.index.others_into(self.id, &mut self.scratch);
-        let validated = shared.check_against_locked(
+        let admitted = shared.check_against(
             &self.scratch,
             op,
             op_idx,
             args,
-            snap,
-            structure.state_value(),
+            Some(structure.state_value()),
         );
         self.scratch.clear();
-        if let Err(e) = validated {
-            drop(structure);
-            return Err(e);
-        }
+        admitted?;
 
         let pre_state = shared
             .gatekeeper
             .requires_pre_state(op)
             .then(|| structure.state_value().clone());
         let result = structure.apply(op, args)?;
-        let seq = shared.publish_seq.load(Ordering::Relaxed) + 1;
         let published = Arc::new(PublishedOp {
-            seq,
             op_idx,
             entry: LogEntry {
                 txn: self.id,
@@ -786,16 +747,7 @@ impl Transaction {
                 pre_state,
             },
         });
-        // Publish to the shard *before* the sequence store: an admission that
-        // Acquire-loads `seq` must already find the entry in the index.
         shared.index.publish(self.id, Arc::clone(&published));
-        if ordinal != 0 {
-            if let Some(faults) = &shared.options.faults {
-                // Stretch the entry-visible-but-sequence-unadvanced state.
-                faults.fire_delayed_publish(self.id, ordinal);
-            }
-        }
-        shared.publish_seq.store(seq, Ordering::Release);
         drop(structure);
 
         self.entries.push(published);
@@ -812,12 +764,12 @@ impl Transaction {
     /// in-flight index.
     fn execute_degraded(&mut self, op: &str, args: &[Value]) -> Result<Option<Value>, TxnError> {
         let shared = &self.runtime.shared;
+        let op_idx = shared.resolve(op, &[])?;
         // The structure mutex still guards against lock-path bystanders
         // (snapshots, invariant checks, unlogged test writes).
         let result = shared.structure.lock().apply(op, args)?;
         self.entries.push(Arc::new(PublishedOp {
-            seq: 0,
-            op_idx: None,
+            op_idx,
             entry: LogEntry {
                 txn: self.id,
                 op: op.to_string(),
@@ -1296,6 +1248,85 @@ mod tests {
             .unwrap();
         assert_eq!(rt.poisoned(), None);
         assert_eq!(rt.stats().rollback_failures, 0);
+    }
+
+    /// An entry the pre-screen never saw, as the locked pass finds it when
+    /// it was published between the pre-screen and the lock acquisition.
+    fn unseen_entry(
+        rt: &SpeculativeRuntime,
+        op: &str,
+        args: Vec<Value>,
+        result: Value,
+        pre_state: Option<Value>,
+    ) -> Arc<PublishedOp> {
+        Arc::new(PublishedOp {
+            op_idx: rt.shared.gatekeeper.op_index(op).unwrap(),
+            entry: LogEntry {
+                txn: 1,
+                op: op.to_string(),
+                args,
+                result: Some(result),
+                pre_state,
+            },
+        })
+    }
+
+    /// The locked pass is complete by itself: on entries no pre-screen has
+    /// checked, it rejects both a state-free conflict (which only the
+    /// captured-pre-state check can see — the re-anchor skips state-free
+    /// conditions) and a stale certificate (which only the live-state
+    /// re-anchor can see).
+    #[test]
+    fn locked_pass_alone_rejects_unscreened_entries() {
+        let list = |items: &[u32]| {
+            AbstractState::List(items.iter().map(|&i| ElemId(i)).collect()).to_value()
+        };
+        for backend in [AdmitBackend::Bytecode, AdmitBackend::Interp] {
+            let with = |name: &str| {
+                SpeculativeRuntime::with_backend(AnyStructure::by_name(name).unwrap(), backend)
+            };
+
+            // remove(5) against a logged add(5) that inserted the element.
+            let rt = with("HashSet");
+            let shared = &rt.shared;
+            let logged = unseen_entry(&rt, "add", vec![Value::elem(5)], Value::Bool(true), None);
+            let remove = shared.gatekeeper.op_index("remove").unwrap();
+            let live = AbstractState::Set([ElemId(5)].into_iter().collect()).to_value();
+            match shared.check_against(&[logged], "remove", remove, &[Value::elem(5)], Some(&live))
+            {
+                Err(TxnError::Conflict(c)) => assert_eq!(c.op_pair(), ("remove", "add")),
+                other => panic!("{backend:?}: state-free conflict admitted: {other:?}"),
+            }
+
+            // removeAt(0) against a logged get(3) over [1, 1, 1, 1, 1, 1, 10]:
+            // the captured pre-state certifies it, and so does a live state
+            // that still has the duplicate run; the live state the stale
+            // certificates of `tests/stale_certificates.rs` lead to does not.
+            let rt = with("ArrayList");
+            let shared = &rt.shared;
+            let logged = unseen_entry(
+                &rt,
+                "get",
+                vec![Value::Int(3)],
+                Value::elem(1),
+                Some(list(&[1, 1, 1, 1, 1, 1, 10])),
+            );
+            let remove_at = shared.gatekeeper.op_index("removeAt").unwrap();
+            let admit = |live: &Value| {
+                shared.check_against(
+                    std::slice::from_ref(&logged),
+                    "removeAt",
+                    remove_at,
+                    &[Value::Int(0)],
+                    Some(live),
+                )
+            };
+            assert_eq!(admit(&list(&[1, 1, 1, 1, 1, 10])), Ok(()), "{backend:?}");
+            match admit(&list(&[1, 1, 1, 1, 10])) {
+                Err(TxnError::Conflict(c)) => assert_eq!(c.op_pair(), ("removeAt", "get")),
+                other => panic!("{backend:?}: stale certificate admitted: {other:?}"),
+            }
+        }
     }
 
     #[test]

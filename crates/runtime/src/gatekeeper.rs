@@ -41,8 +41,7 @@
 //!   operation executed in, evaluable lock-free because it reads only
 //!   immutable log data; and
 //! * against the **live state** under the structure lock
-//!   ([`check_entry_at`](CommutativityGatekeeper::check_entry_at) /
-//!   [`check_indexed_at`](CommutativityGatekeeper::check_indexed_at)) — the
+//!   ([`check_indexed_at`](CommutativityGatekeeper::check_indexed_at)) — the
 //!   re-anchor that makes per-pair certificates compose once other admitted
 //!   operations separate the pair (see the method docs for the failure this
 //!   closes).
@@ -226,7 +225,7 @@ impl AdmissionProgram {
     /// arguments, through the thread-local register buffers. When `state` is
     /// provided it overrides the logged entry's captured pre-state as the
     /// `s1` binding (the re-anchored evaluation — see
-    /// [`CommutativityGatekeeper::check_entry_at`]). Errors are raw (the
+    /// [`CommutativityGatekeeper::check_indexed_at`]). Errors are raw (the
     /// caller prefixes the condition id, as the interpreter path does).
     fn eval(
         &self,
@@ -332,8 +331,8 @@ pub struct CommutativityGatekeeper {
     /// The dense operation universe for index-based admission: the
     /// interface's operation names in specification order.
     /// [`op_index`](CommutativityGatekeeper::op_index) resolves a name once
-    /// (at publish time for logged entries, once per admission batch for the
-    /// incoming operation); after that the hot path never hashes a string.
+    /// per executed operation, and the logged entry keeps it; after that
+    /// the hot path never hashes a string.
     ops: Vec<String>,
     /// The flattened (first × second) pair table, indexed
     /// `first * ops.len() + second`. Entries share the same lazily-compiled
@@ -549,8 +548,8 @@ impl CommutativityGatekeeper {
 
     /// Resolves an operation name to its dense index in this gatekeeper's
     /// operation universe, or `None` if the interface does not know the
-    /// operation. The executor resolves each logged operation once at publish
-    /// time and each incoming operation once per admission batch, so
+    /// operation. The executor resolves each operation once when it
+    /// executes and keeps the index in the published entry, so
     /// [`check_indexed`](CommutativityGatekeeper::check_indexed) never hashes
     /// a string.
     pub fn op_index(&self, op: &str) -> Option<u16> {
@@ -598,7 +597,7 @@ impl CommutativityGatekeeper {
     /// not compose. Requiring the condition to also hold at the live state
     /// keeps every logged, state-dependent certificate current at each
     /// intermediate state, so the certificates compose inductively (see the
-    /// executor's `check_against_locked`).
+    /// executor's `check_against`).
     ///
     /// Pairs whose condition never reads `s1` — the majority; they test `r1`
     /// and arguments — are admitted without evaluation: re-running a
@@ -699,31 +698,6 @@ impl CommutativityGatekeeper {
     ) -> Result<(), AdmissionError> {
         match self.lookup(logged, incoming_op) {
             Ok(prepared) => self.classify(prepared, logged, incoming_op, incoming_args, None),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The re-anchored form of
-    /// [`check_entry`](CommutativityGatekeeper::check_entry) — see
-    /// [`check_indexed_at`](CommutativityGatekeeper::check_indexed_at).
-    ///
-    /// # Errors
-    ///
-    /// See [`admit`](CommutativityGatekeeper::admit).
-    pub fn check_entry_at(
-        &self,
-        logged: &LogEntry,
-        incoming_op: &str,
-        incoming_args: &[Value],
-        state: &Value,
-    ) -> Result<(), AdmissionError> {
-        match self.lookup(logged, incoming_op) {
-            Ok(prepared) => {
-                if !self.reads_state(prepared) {
-                    return Ok(());
-                }
-                self.classify(prepared, logged, incoming_op, incoming_args, Some(state))
-            }
             Err(e) => Err(e),
         }
     }
@@ -921,31 +895,28 @@ mod tests {
                 pre_state: Some(list_state(&[1, 1, 1, 1, 1, 1, 10])),
             };
             let incoming = [Value::Int(0)];
+            let first = g.op_index("get").unwrap();
+            let second = g.op_index("removeAt").unwrap();
+            let at = |live: &[u32]| {
+                g.check_indexed_at(
+                    first,
+                    &logged,
+                    second,
+                    "removeAt",
+                    &incoming,
+                    &list_state(live),
+                )
+            };
             // Against the capture: s1[3] = s1[4], one shift is harmless.
             assert!(g.check_entry(&logged, "removeAt", &incoming).is_ok());
             // Re-anchored at a live state that still has the duplicate run:
             // also fine.
-            assert!(g
-                .check_entry_at(
-                    &logged,
-                    "removeAt",
-                    &incoming,
-                    &list_state(&[1, 1, 1, 1, 1, 10])
-                )
-                .is_ok());
+            assert!(at(&[1, 1, 1, 1, 1, 10]).is_ok());
             // Re-anchored at a live state where one more shift moves the 10
             // into the observed slot: conflict — even though the pre-state
             // check (above) still passes.
-            let live = list_state(&[1, 1, 1, 1, 10]);
             assert!(matches!(
-                g.check_entry_at(&logged, "removeAt", &incoming, &live),
-                Err(AdmissionError::Conflict(_))
-            ),);
-            // The indexed hot path agrees.
-            let first = g.op_index("get").unwrap();
-            let second = g.op_index("removeAt").unwrap();
-            assert!(matches!(
-                g.check_indexed_at(first, &logged, second, "removeAt", &incoming, &live),
+                at(&[1, 1, 1, 1, 10]),
                 Err(AdmissionError::Conflict(_))
             ));
         }
@@ -967,9 +938,6 @@ mod tests {
             ));
             // …but the *re-anchor* admits vacuously, whatever the state.
             let state = AbstractState::Set(Default::default()).to_value();
-            assert!(g
-                .check_entry_at(&logged, "remove", &[Value::elem(5)], &state)
-                .is_ok());
             let first = g.op_index("add").unwrap();
             let second = g.op_index("remove").unwrap();
             assert!(g

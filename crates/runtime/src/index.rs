@@ -2,20 +2,19 @@
 //! currently outstanding, readable without the structure lock.
 //!
 //! The seed runtime kept one flat [`OperationLog`](crate::OperationLog)
-//! behind the same mutex protecting the data structure, so gatekeeper
-//! admission — the expensive part of every speculative operation — fully
-//! serialized the runtime. The index replaces it with the sharded claim-table
-//! discipline of `prover::queue`: transactions hash into one of
-//! [`N_SHARDS`] `RwLock`-protected maps keyed by transaction id, each map
-//! holding that transaction's published operations in execution order.
+//! behind the same mutex protecting the data structure. The index replaces
+//! it with the sharded claim-table discipline of `prover::queue`:
+//! transactions hash into one of [`N_SHARDS`] `RwLock`-protected maps keyed
+//! by transaction id, each map holding that transaction's published
+//! operations in execution order.
 //!
-//! * **Admission reads** take one shard read lock at a time, clone the `Arc`s
-//!   out, and evaluate conditions entirely outside any lock.
+//! * **Admission reads** take one shard read lock at a time and clone the
+//!   `Arc`s out; conditions are evaluated outside any shard lock.
 //! * **Publishing** (one write lock on the publisher's own shard) happens
 //!   while the publisher holds the structure lock, which makes
-//!   apply-and-publish atomic; the runtime's monotone publish sequence lets
-//!   admission revalidate only the entries that appeared after its optimistic
-//!   read (see [`InFlightIndex::others_since`]).
+//!   apply-and-publish atomic. The executor's admission pass reads the index
+//!   while holding that same lock, so it sees every entry whose effect is in
+//!   the state it admits against.
 //! * **Commit** removes the transaction's slot from its own shard — O(own
 //!   operations), no structure lock, no scan of anyone else's entries.
 //!
@@ -36,18 +35,15 @@ use crate::log::LogEntry;
 /// thread counts the runtime targets.
 pub const N_SHARDS: usize = 16;
 
-/// One published operation: a log entry tagged with its global publish
-/// sequence number (assigned under the structure lock, so sequence order is
-/// application order).
+/// One published operation: a log entry tagged with its resolved operation
+/// index.
 #[derive(Debug)]
 pub struct PublishedOp {
-    /// Position in the global publish order (1-based; 0 is "before any op").
-    pub seq: u64,
     /// The logged operation's dense index in the gatekeeper's operation
-    /// universe, resolved once at publish time so admission never hashes the
-    /// operation name (see
+    /// universe, resolved once when the operation executes so admission never
+    /// hashes the operation name (see
     /// [`CommutativityGatekeeper::op_index`](crate::CommutativityGatekeeper::op_index)).
-    pub op_idx: Option<u16>,
+    pub op_idx: u16,
     /// The logged operation.
     pub entry: LogEntry,
 }
@@ -108,18 +104,11 @@ impl InFlightIndex {
         removed
     }
 
-    /// All operations of transactions other than `txn`, as `Arc` clones —
-    /// the caller evaluates conditions against them without holding any
-    /// shard lock.
-    pub fn others(&self, txn: u64) -> Vec<Arc<PublishedOp>> {
-        let mut out = Vec::new();
-        self.others_into(txn, &mut out);
-        out
-    }
-
-    /// [`others`](InFlightIndex::others) into a caller-supplied buffer — the
-    /// executor reuses one buffer per transaction so the admission fast path
-    /// allocates nothing. The buffer is cleared first.
+    /// All operations of transactions other than `txn`, as `Arc` clones,
+    /// into a caller-supplied buffer (cleared first) — the executor reuses
+    /// one buffer per transaction so admission allocates nothing, and
+    /// evaluates conditions against the clones without holding any shard
+    /// lock.
     pub fn others_into(&self, txn: u64, out: &mut Vec<Arc<PublishedOp>>) {
         out.clear();
         for shard in &self.shards {
@@ -128,32 +117,6 @@ impl InFlightIndex {
                 if owner != txn {
                     out.extend(entries.iter().cloned());
                 }
-            }
-        }
-    }
-
-    /// Operations of other transactions with `seq > bound` — the entries
-    /// published after an optimistic admission pass took its sequence
-    /// snapshot. Each transaction's entries are appended in sequence order,
-    /// so only slot tails are scanned.
-    pub fn others_since(&self, txn: u64, bound: u64) -> Vec<Arc<PublishedOp>> {
-        let mut out = Vec::new();
-        self.others_since_into(txn, bound, &mut out);
-        out
-    }
-
-    /// [`others_since`](InFlightIndex::others_since) into a caller-supplied
-    /// buffer, cleared first (see [`others_into`](InFlightIndex::others_into)).
-    pub fn others_since_into(&self, txn: u64, bound: u64, out: &mut Vec<Arc<PublishedOp>>) {
-        out.clear();
-        for shard in &self.shards {
-            let guard = shard.read();
-            for (&owner, entries) in guard.iter() {
-                if owner == txn {
-                    continue;
-                }
-                let tail = entries.iter().rev().take_while(|op| op.seq > bound);
-                out.extend(tail.cloned());
             }
         }
     }
@@ -185,14 +148,13 @@ mod tests {
     use super::*;
     use semcommute_logic::Value;
 
-    fn op(txn: u64, seq: u64) -> Arc<PublishedOp> {
+    fn op(txn: u64, elem: u64) -> Arc<PublishedOp> {
         Arc::new(PublishedOp {
-            seq,
-            op_idx: None,
+            op_idx: 0,
             entry: LogEntry {
                 txn,
                 op: "add".into(),
-                args: vec![Value::elem(seq as u32)],
+                args: vec![Value::elem(elem as u32)],
                 result: Some(Value::Bool(true)),
                 pre_state: None,
             },
@@ -242,23 +204,10 @@ mod tests {
         index.publish(1, op(1, 1));
         index.publish(17, op(17, 2));
         index.publish(5, op(5, 3));
-        let seen: Vec<u64> = index.others(17).iter().map(|o| o.entry.txn).collect();
-        assert_eq!(seen.len(), 2);
+        let mut out = vec![op(9, 9)];
+        index.others_into(17, &mut out);
+        let seen: Vec<u64> = out.iter().map(|o| o.entry.txn).collect();
+        assert_eq!(seen.len(), 2, "the buffer is cleared first");
         assert!(seen.contains(&1) && seen.contains(&5));
-    }
-
-    #[test]
-    fn others_since_scans_only_tails() {
-        let index = InFlightIndex::new();
-        index.publish(1, op(1, 1));
-        index.publish(1, op(1, 4));
-        index.publish(2, op(2, 5));
-        index.publish(1, op(1, 7));
-        let fresh: Vec<u64> = index.others_since(3, 4).iter().map(|o| o.seq).collect();
-        assert_eq!(fresh.len(), 2);
-        assert!(fresh.contains(&5) && fresh.contains(&7));
-        assert!(index.others_since(3, 7).is_empty());
-        // The bound is exclusive and own entries never appear.
-        assert!(index.others_since(1, 0).iter().all(|o| o.entry.txn == 2));
     }
 }

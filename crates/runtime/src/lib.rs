@@ -21,7 +21,7 @@
 //!   maintain an O(1)-snapshottable persistent mirror of the abstract state,
 //! * [`LogEntry`] / [`index`] — executed operations (arguments, recorded
 //!   return values, pre-state projections) published through the sharded
-//!   in-flight index so admission never holds the structure lock,
+//!   in-flight index,
 //! * [`gatekeeper`] — the dynamic commutativity check driven by the verified
 //!   between conditions,
 //! * [`SpeculativeRuntime`] / [`Transaction`] — optimistic transactions with

@@ -11,7 +11,6 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use semcommute_logic::Value;
 use semcommute_runtime::{
@@ -135,34 +134,6 @@ fn forced_conflict_fires_exactly_where_scheduled() {
     assert_eq!(fired[0].kind, FaultKind::ForcedConflict);
     assert_eq!(fired[0].ordinal, Some(2));
     assert_eq!(rt.stats().conflicts, 1);
-    assert_stats_identity(&rt);
-}
-
-#[test]
-fn delayed_publish_fires_and_sleeps_where_scheduled() {
-    let plan = Arc::new(FaultPlan::new());
-    let delay = Duration::from_millis(20);
-    plan.delay_publish_at(2, delay);
-    let rt = runtime_with(&plan, FallbackOptions::off());
-
-    let fast = Instant::now();
-    rt.run(0, |txn| txn.execute("add", &[Value::elem(1)]).map(|_| ()))
-        .unwrap();
-    let fast = fast.elapsed();
-    let slow = Instant::now();
-    rt.run(0, |txn| txn.execute("add", &[Value::elem(2)]).map(|_| ()))
-        .unwrap();
-    let slow = slow.elapsed();
-    assert!(slow >= delay, "delayed publish must sleep: {slow:?}");
-    assert!(
-        fast < delay,
-        "unscheduled ordinals must not sleep: {fast:?}"
-    );
-
-    let fired = plan.fired();
-    assert_eq!(fired.len(), 1);
-    assert_eq!(fired[0].kind, FaultKind::DelayedPublish(delay));
-    assert_eq!(fired[0].ordinal, Some(2));
     assert_stats_identity(&rt);
 }
 

@@ -14,7 +14,7 @@
 //!
 //! The fix: the validated admission pass re-anchors every state-reading
 //! condition at the live state under the structure lock (see
-//! `Shared::check_against_locked` and the gatekeeper's `check_*_at`
+//! `Shared::check_against` and the gatekeeper's `check_*_at`
 //! methods). This test pins the exact trace: two removals are admitted, the
 //! third must conflict with the logged observer.
 
