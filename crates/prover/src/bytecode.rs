@@ -1136,8 +1136,8 @@ impl Program {
     /// quantifier body) consumes its register. Slots whose variable was
     /// eliminated by lowering never influence evaluation, so a caller may
     /// pass any placeholder value there — this is what lets the gatekeeper
-    /// derive its `requires_pre_state` projection from the program instead of
-    /// a syntactic free-variable scan.
+    /// cross-check its syntactic `requires_pre_state` classification against
+    /// the program's actual reads.
     pub fn input_reads(&self) -> Vec<bool> {
         let mut reads = vec![false; self.input_count];
         let mut mark = |r: R| {

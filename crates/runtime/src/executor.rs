@@ -734,8 +734,7 @@ impl Transaction {
 
         let pre_state = shared
             .gatekeeper
-            .requires_pre_state(op)
-            .then(|| structure.state_value().clone());
+            .capture_pre_state(op_idx, args, structure.state_value());
         let result = structure.apply(op, args)?;
         let published = Arc::new(PublishedOp {
             op_idx,
@@ -797,8 +796,10 @@ impl Transaction {
         // The ticket must be drawn *before* the index slot disappears: a
         // transaction that executes a non-commuting operation can only be
         // admitted after this removal, so its own (later) fetch_add is
-        // guaranteed a larger ticket — the shard lock release/acquire orders
-        // the two RMWs. Removing first would let that transaction draw a
+        // guaranteed a larger ticket — the shard lock release/acquire, or the
+        // occupancy bitmap's release/acquire when the removal empties the
+        // shard and the scan skips it (`index` module docs), orders the two
+        // RMWs. Removing first would let that transaction draw a
         // smaller ticket and break the replay order. It is also drawn before
         // `leave` releases the gate, which is what serializes tickets across
         // mode transitions: a transaction on the other gate side begins
@@ -1347,12 +1348,94 @@ mod tests {
             .map(|p| p.entry.pre_state.is_some())
             .collect();
         assert_eq!(states, vec![false, true, true]);
-        // The `remove` pre-state is the abstract state just before it ran.
-        let pre = t.entries[1].entry.pre_state.clone().unwrap();
+        let pre = |i: usize| {
+            AbstractState::from_value(t.entries[i].entry.pre_state.as_ref().unwrap()).unwrap()
+        };
+        // `remove` reads its pre-state only at its own argument, so it
+        // carries the state just before it ran restricted to that key…
         assert_eq!(
-            AbstractState::from_value(&pre).unwrap(),
-            AbstractState::Set([ElemId(1), ElemId(2)].into_iter().collect())
+            pre(1),
+            AbstractState::Set([ElemId(1)].into_iter().collect())
+        );
+        // …while `size` (whose conditions query `s1` at the *incoming*
+        // argument) carries all of it.
+        assert_eq!(
+            pre(2),
+            AbstractState::Set([ElemId(2)].into_iter().collect())
         );
         t.commit();
+    }
+
+    /// The mirror's tree nodes, by address.
+    fn mirror_nodes(rt: &SpeculativeRuntime) -> Vec<usize> {
+        match rt.shared.structure.lock().state_value() {
+            Value::Set(set) => set.node_addrs(),
+            Value::Map(map) => map.node_addrs(),
+            other => panic!("no tree payload: {other:?}"),
+        }
+    }
+
+    /// Live `remove` (Set) and `put` (Map) entries capture a keyed slice of
+    /// the pre-state, not a handle to the mirror, so they do not pin it: the
+    /// next update — admitted after a re-anchored, state-reading check —
+    /// writes the mirror in place and allocates O(1) fresh nodes. A handle
+    /// to the whole mirror, which is what those entries used to hold, makes
+    /// the same kind of update path-copy O(log n) nodes.
+    #[test]
+    fn keyed_entries_do_not_pin_the_mirror() {
+        const PREFILL: u32 = 1024;
+        // (structure, its insert, the logged keyed op, a probe whose pair
+        // with the logged op reads the state)
+        let cases = [
+            ("HashSet", "add", "remove", "contains"),
+            ("HashTable", "put", "put", "get"),
+        ];
+        let args = |op: &str, key: u32| match op {
+            "put" => vec![Value::elem(key), Value::elem(key)],
+            _ => vec![Value::elem(key)],
+        };
+        for backend in [AdmitBackend::Bytecode, AdmitBackend::Interp] {
+            for (structure, insert, logged, probe) in cases {
+                let rt = SpeculativeRuntime::with_backend(
+                    AnyStructure::by_name(structure).unwrap(),
+                    backend,
+                );
+                rt.run(0, |txn| {
+                    (1..=PREFILL).try_for_each(|k| txn.execute(insert, &args(insert, k)).map(drop))
+                })
+                .unwrap();
+                let mut live = rt.begin();
+                live.execute(logged, &args(logged, 1)).unwrap();
+                assert!(rt.shared.gatekeeper.requires_pre_state(logged));
+
+                let mut next = rt.begin();
+                next.execute(probe, &args(probe, 2)).unwrap();
+                let before = mirror_nodes(&rt);
+                next.execute(insert, &args(insert, PREFILL + 1)).unwrap();
+                let fresh = mirror_nodes(&rt)
+                    .iter()
+                    .filter(|node| !before.contains(node))
+                    .count();
+                assert!(
+                    fresh <= 2,
+                    "{backend:?} {structure}: a live `{logged}` entry pinned the mirror \
+                     ({fresh} fresh nodes)"
+                );
+
+                let pinned = rt.shared.structure.lock().state_value().clone();
+                next.execute(insert, &args(insert, PREFILL + 2)).unwrap();
+                let copied = match (rt.shared.structure.lock().state_value(), &pinned) {
+                    (Value::Set(now), Value::Set(then)) => now.fresh_nodes_since(then),
+                    (Value::Map(now), Value::Map(then)) => now.fresh_nodes_since(then),
+                    other => panic!("mirror changed shape: {other:?}"),
+                };
+                assert!(
+                    copied >= 8,
+                    "{backend:?} {structure}: a pinned update copied only {copied} nodes"
+                );
+                next.commit();
+                live.commit();
+            }
+        }
     }
 }

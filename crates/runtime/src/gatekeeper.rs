@@ -50,13 +50,14 @@
 //! a single anchor; their re-anchored evaluation is skipped as a no-op.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use semcommute_core::condition::names;
 use semcommute_core::{interface_catalog, CommutativityCondition, ConditionKind};
-use semcommute_logic::{eval_bool, free_vars, Model, Value};
+use semcommute_logic::pvalue::{PMap, PSet};
+use semcommute_logic::{eval_bool, free_vars, Model, Term, Value};
 use semcommute_prover::Program;
 use semcommute_spec::InterfaceId;
 
@@ -235,29 +236,157 @@ impl AdmissionProgram {
     ) -> Result<bool, String> {
         ADMIT_REGS.with(|regs| {
             let regs = &mut *regs.borrow_mut();
-            self.program.prepare_regs(regs);
-            for (slot, (src, name)) in self.slots.iter().enumerate() {
-                if !self.reads[slot] {
-                    // Never read by the program: no write needed, the
-                    // register is dead.
-                    continue;
+            let verdict = self.fill_and_eval(regs, logged, incoming_args, state);
+            if self.reads_initial {
+                // Drop the state handle now, on every exit, rather than at
+                // the next program's fill: a stale clone of the live mirror
+                // in this buffer would pin it, and every later mirror update
+                // would path-copy instead of writing in place.
+                regs[0] = Value::Bool(false);
+            }
+            verdict
+        })
+    }
+
+    fn fill_and_eval(
+        &self,
+        regs: &mut Vec<Value>,
+        logged: &LogEntry,
+        incoming_args: &[Value],
+        state: Option<&Value>,
+    ) -> Result<bool, String> {
+        self.program.prepare_regs(regs);
+        for (slot, (src, name)) in self.slots.iter().enumerate() {
+            if !self.reads[slot] {
+                // Never read by the program: no write needed, the register
+                // is dead.
+                continue;
+            }
+            let found = match src {
+                SlotSrc::Initial => state.or(logged.pre_state.as_ref()),
+                SlotSrc::Result1 => logged.result.as_ref(),
+                SlotSrc::FirstArg(i) => logged.args.get(*i),
+                SlotSrc::SecondArg(i) => incoming_args.get(*i),
+            };
+            match found {
+                Some(v) => regs[slot] = v.clone(),
+                // The interpreter would not have inserted this name into the
+                // model, so its formula walk would fail the lookup; reproduce
+                // that error here.
+                None => return Err(format!("unbound variable `{name}`")),
+            }
+        }
+        self.program.eval_in_regs(regs)
+    }
+}
+
+/// How much of the abstract state a log entry for an operation captures —
+/// decided once per operation when the gatekeeper is built, from the
+/// between conditions in which the operation comes first (see
+/// [`CommutativityGatekeeper::capture_pre_state`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum PreStateCapture {
+    /// No such condition reads the initial state `s1`: nothing is captured.
+    Nothing,
+    /// Every `s1` occurrence is a point query — `member`, `map_has_key` or
+    /// `map_get` — at one of the operation's own arguments, listed here by
+    /// position. The capture is the pre-state restricted to those keys, a
+    /// set or map of at most that many entries, which answers each of the
+    /// queries exactly as the whole state does.
+    Keys(Vec<usize>),
+    /// Some `s1` occurrence needs more than the operation's own keys (a
+    /// cardinality, a position, a query at the incoming operation's
+    /// argument): the whole state is captured, as an O(1) persistent handle.
+    Full,
+}
+
+impl PreStateCapture {
+    /// Widens `self` to cover the `s1` reads in `term`, a between condition
+    /// (or part of one) whose first operation's argument names are
+    /// `first_params`; `bound` holds the quantifier variables in scope.
+    fn visit(&mut self, term: &Term, first_params: &[String], bound: &mut Vec<String>) {
+        if *self == PreStateCapture::Full {
+            return;
+        }
+        let is_s1 = |t: &Term| matches!(t, Term::Var(v) if v.name == names::INITIAL);
+        let point_query = match term {
+            Term::Member(key, state) => Some((key, state)),
+            Term::MapHasKey(state, key) | Term::MapGet(state, key) => Some((key, state)),
+            _ => None,
+        };
+        if let Some((key, _)) = point_query.filter(|(_, state)| is_s1(state)) {
+            let own_arg = match &**key {
+                Term::Var(v) if !bound.contains(&v.name) => {
+                    first_params.iter().position(|p| *p == v.name)
                 }
-                let found = match src {
-                    SlotSrc::Initial => state.or(logged.pre_state.as_ref()),
-                    SlotSrc::Result1 => logged.result.as_ref(),
-                    SlotSrc::FirstArg(i) => logged.args.get(*i),
-                    SlotSrc::SecondArg(i) => incoming_args.get(*i),
-                };
-                match found {
-                    Some(v) => regs[slot] = v.clone(),
-                    // The interpreter would not have inserted this name
-                    // into the model, so its formula walk would fail the
-                    // lookup; reproduce that error here.
-                    None => return Err(format!("unbound variable `{name}`")),
+                _ => None,
+            };
+            match own_arg {
+                Some(i) => self.add_key(i),
+                // The key is not one of the operation's own arguments, so
+                // the log entry cannot know which slice of `s1` to keep.
+                None => *self = PreStateCapture::Full,
+            }
+            return;
+        }
+        if is_s1(term) {
+            *self = PreStateCapture::Full;
+            return;
+        }
+        let binder = term.binder();
+        if let Some(var) = binder {
+            bound.push(var.to_string());
+        }
+        for child in term.children() {
+            self.visit(child, first_params, bound);
+        }
+        if binder.is_some() {
+            bound.pop();
+        }
+    }
+
+    fn add_key(&mut self, arg: usize) {
+        match self {
+            PreStateCapture::Nothing => *self = PreStateCapture::Keys(vec![arg]),
+            PreStateCapture::Keys(keys) => {
+                if !keys.contains(&arg) {
+                    keys.push(arg);
+                    keys.sort_unstable();
                 }
             }
-            self.program.eval_in_regs(regs)
-        })
+            PreStateCapture::Full => {}
+        }
+    }
+}
+
+/// `state` restricted to the keys `args` name: the entries of a set or map
+/// pre-state at those keys. Any other state shape — and keys that are not
+/// elements — cannot be restricted this way; the first falls back to the
+/// whole state, the second contributes nothing (such an argument fails the
+/// operation's own dispatch before its entry is ever published).
+fn restrict(state: &Value, keys: &[usize], args: &[Value]) -> Value {
+    let elems = keys.iter().filter_map(|&i| match args.get(i) {
+        Some(Value::Elem(e)) => Some(*e),
+        _ => None,
+    });
+    match state {
+        Value::Set(set) => {
+            let mut slice = PSet::new();
+            for e in elems.filter(|e| set.contains(e)) {
+                slice.insert(e);
+            }
+            Value::Set(slice)
+        }
+        Value::Map(map) => {
+            let mut slice = PMap::new();
+            for e in elems {
+                if let Some(v) = map.get(&e) {
+                    slice.insert(e, *v);
+                }
+            }
+            Value::Map(slice)
+        }
+        other => other.clone(),
     }
 }
 
@@ -300,16 +429,18 @@ impl Prepared {
 /// discussion: before executing an operation, check that it commutes with
 /// every operation executed by other uncommitted transactions.
 ///
-/// Construction also computes, per first operation, whether *any* of its
-/// between conditions reads the initial state `s1`; the executor consults
-/// [`requires_pre_state`](CommutativityGatekeeper::requires_pre_state) to
-/// decide whether a pre-state projection must be captured when logging the
-/// operation. Most recorded-variant conditions test `r1` instead, so most
-/// operations log no state at all. Under the bytecode backend this
-/// projection is derived from the compiled programs' actual slot reads (and
-/// memoized per operation); the interpreter backend uses the syntactic
-/// free-variable scan. The two projections agree across the whole catalog —
-/// `tests/diff_runtime.rs` asserts it pair by pair.
+/// Construction also classifies, per first operation, what its between
+/// conditions read of the initial state `s1`: nothing, only point queries
+/// at the operation's own arguments, or more; the executor calls
+/// [`capture_pre_state`](CommutativityGatekeeper::capture_pre_state) to
+/// record exactly that much when logging the operation. Most
+/// recorded-variant conditions test `r1` instead, so most operations log no
+/// state at all, and most of the rest log a one-entry slice of it.
+/// [`requires_pre_state`](CommutativityGatekeeper::requires_pre_state)
+/// answers whether anything is needed, from the same classification under
+/// both backends. The compiled programs read `s1` exactly where the
+/// syntactic scan finds it — `tests/diff_runtime.rs` asserts it pair by
+/// pair — so a bytecode check never finds a pre-state missing.
 #[derive(Debug, Clone)]
 pub struct CommutativityGatekeeper {
     interface: InterfaceId,
@@ -318,16 +449,10 @@ pub struct CommutativityGatekeeper {
     /// operation, then second operation (two `&str` lookups, no allocation
     /// on the admission path).
     conditions: HashMap<String, HashMap<String, Prepared>>,
-    /// First operations at least one of whose between conditions mentions
-    /// `s1` — the only operations whose log entries need a pre-state
-    /// (interpreter projection).
-    pre_state_ops: HashSet<String>,
-    /// Per first operation, the memoized bytecode projection: does any
-    /// compiled condition with this operation first read the `s1` slot?
-    /// Shared across clones, filled on first
-    /// [`requires_pre_state`](CommutativityGatekeeper::requires_pre_state)
-    /// query for the operation.
-    pre_state_compiled: HashMap<String, Arc<OnceLock<bool>>>,
+    /// Per operation (indexed like `ops`): what a log entry for it captures
+    /// of the pre-state, classified syntactically from the between
+    /// conditions with the operation first.
+    captures: Vec<PreStateCapture>,
     /// The dense operation universe for index-based admission: the
     /// interface's operation names in specification order.
     /// [`op_index`](CommutativityGatekeeper::op_index) resolves a name once
@@ -351,8 +476,7 @@ impl CommutativityGatekeeper {
     pub fn with_backend(interface: InterfaceId, backend: AdmitBackend) -> CommutativityGatekeeper {
         let iface = semcommute_spec::interface_by_id(interface);
         let mut conditions: HashMap<String, HashMap<String, Prepared>> = HashMap::new();
-        let mut pre_state_ops = HashSet::new();
-        let mut pre_state_compiled = HashMap::new();
+        let mut captures_by_op: HashMap<String, PreStateCapture> = HashMap::new();
         for condition in interface_catalog(interface) {
             if condition.kind != ConditionKind::Between
                 || !condition.first.recorded
@@ -369,14 +493,13 @@ impl CommutativityGatekeeper {
                 })
             };
             let needs_initial = free_vars(&condition.formula).contains_key(names::INITIAL);
-            if needs_initial {
-                pre_state_ops.insert(condition.first.op.clone());
-            }
-            pre_state_compiled
+            let first_params = params(&condition.first.op, 1);
+            captures_by_op
                 .entry(condition.first.op.clone())
-                .or_insert_with(|| Arc::new(OnceLock::new()));
+                .or_insert(PreStateCapture::Nothing)
+                .visit(&condition.formula, &first_params, &mut Vec::new());
             let prepared = Prepared {
-                first_params: params(&condition.first.op, 1),
+                first_params,
                 second_params: params(&condition.second.op, 2),
                 needs_initial,
                 program: Arc::new(OnceLock::new()),
@@ -388,6 +511,14 @@ impl CommutativityGatekeeper {
                 .insert(prepared.condition.second.op.clone(), prepared);
         }
         let ops: Vec<String> = iface.ops.iter().map(|op| op.name.clone()).collect();
+        let captures = ops
+            .iter()
+            .map(|op| {
+                captures_by_op
+                    .remove(op)
+                    .unwrap_or(PreStateCapture::Nothing)
+            })
+            .collect();
         let table: Vec<Option<Prepared>> = ops
             .iter()
             .flat_map(|first| {
@@ -403,8 +534,7 @@ impl CommutativityGatekeeper {
             interface,
             backend,
             conditions,
-            pre_state_ops,
-            pre_state_compiled,
+            captures,
             ops,
             table,
         }
@@ -465,21 +595,35 @@ impl CommutativityGatekeeper {
     /// between check) carry the abstract pre-state?
     ///
     /// Returns `true` iff some between condition with `op` first reads the
-    /// initial state `s1` — under the bytecode backend, *reads* means the
-    /// compiled program consumes the `s1` input slot; under the interpreter
-    /// backend, that the formula mentions `s1`. The executor captures the
-    /// (O(1), persistent) state projection only for these operations.
+    /// initial state `s1`, under either backend — the same classification
+    /// [`capture_pre_state`](CommutativityGatekeeper::capture_pre_state)
+    /// follows, so this is `true` exactly where it returns `Some`.
     pub fn requires_pre_state(&self, op: &str) -> bool {
-        match self.backend {
-            AdmitBackend::Interp => self.pre_state_ops.contains(op),
-            AdmitBackend::Bytecode => match self.pre_state_compiled.get(op) {
-                None => false,
-                Some(memo) => *memo.get_or_init(|| {
-                    self.conditions
-                        .get(op)
-                        .is_some_and(|seconds| seconds.values().any(|p| p.program().reads_initial))
-                }),
-            },
+        self.op_index(op)
+            .is_some_and(|i| self.captures[i as usize] != PreStateCapture::Nothing)
+    }
+
+    /// The pre-state a log entry for the operation at `op_idx` (from
+    /// [`op_index`](CommutativityGatekeeper::op_index)) called with `args`
+    /// must carry, given the abstract `state` it is about to execute in:
+    /// `None` when no condition reads it, the state restricted to the
+    /// operation's keys when every read is a point query — `member`,
+    /// `map_has_key` or `map_get` — at one of the operation's own arguments
+    /// (a set or map of at most that many entries), the whole state as an
+    /// O(1) persistent handle otherwise (a cardinality, a sequence position,
+    /// a query at the incoming operation's argument).
+    ///
+    /// At its keys the restriction answers every point query exactly as the
+    /// whole state does, so verdicts cannot change; what changes is that a
+    /// keyed entry holds no handle into the state, so it neither pins the
+    /// runtime's mirror (which then updates in place) nor makes later checks
+    /// walk a large tree. Indexed by `op_idx` so that the executor, which
+    /// calls this under the structure lock, hashes no operation name.
+    pub fn capture_pre_state(&self, op_idx: u16, args: &[Value], state: &Value) -> Option<Value> {
+        match &self.captures[op_idx as usize] {
+            PreStateCapture::Nothing => None,
+            PreStateCapture::Keys(keys) => Some(restrict(state, keys, args)),
+            PreStateCapture::Full => Some(state.clone()),
         }
     }
 
@@ -747,6 +891,42 @@ mod tests {
                     .to_value(),
             ),
         }
+    }
+
+    #[test]
+    fn the_s1_register_is_cleared_on_every_exit() {
+        // A program that reads `s1` and a later slot: with the later slot
+        // unbound, evaluation fails after `s1` was already filled — the
+        // buffer must still not keep the state handle.
+        let g = CommutativityGatekeeper::with_backend(InterfaceId::Set, AdmitBackend::Bytecode);
+        let (first, second) = g
+            .pairs()
+            .into_iter()
+            .find(|(first, second)| {
+                let reads = &g.conditions[first][second].program().reads;
+                reads[0] && reads[1..].iter().any(|&r| r)
+            })
+            .expect("a Set condition reads s1 and another slot");
+        let prepared = &g.conditions[&first][&second];
+        let state = set_entry(1, &first, 1, true, &[1, 2, 3]).pre_state;
+        let unbound = LogEntry {
+            txn: 1,
+            op: first.clone(),
+            args: Vec::new(),
+            result: None,
+            pre_state: state.clone(),
+        };
+        let cleared = || ADMIT_REGS.with(|regs| regs.borrow()[0] == Value::Bool(false));
+        let err = prepared.program().eval(&unbound, &[], None).unwrap_err();
+        assert!(
+            err.starts_with("unbound variable"),
+            "{first}/{second}: {err}"
+        );
+        assert!(cleared(), "{first}/{second}: s1 kept after an error");
+        let bound = set_entry(1, &first, 1, true, &[1, 2, 3]);
+        let incoming = [Value::elem(2)];
+        let _ = prepared.program().eval(&bound, &incoming, state.as_ref());
+        assert!(cleared(), "{first}/{second}: s1 kept after a verdict");
     }
 
     #[test]

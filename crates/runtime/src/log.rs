@@ -16,15 +16,21 @@ use semcommute_logic::Value;
 /// condition whose *first* operation is `op` actually reads the initial
 /// state `s1` (see
 /// [`CommutativityGatekeeper::requires_pre_state`](crate::CommutativityGatekeeper::requires_pre_state)
-/// — under the compiled admission backend "reads" is derived from the
-/// compiled program's actual `s1` slot reads, under the interpreter from a
-/// syntactic free-variable scan; the two agree across the catalog).
+/// — "reads" is a syntactic scan of the conditions, the same under both
+/// admission backends; the compiled programs read the `s1` slot exactly
+/// where the scan finds `s1`, which the differential tests check).
 /// Most recorded-variant between conditions test the recorded return value
 /// `r1` instead — that is the point of recording it — so most entries carry
-/// `None` here and cost nothing to record. When the state *is* needed it is
-/// captured as a persistent [`Value`] handle (`PSet`/`PMap`/`PSeq` payloads),
-/// which clones in O(1) from the runtime's incrementally-maintained mirror:
-/// recording an entry never walks the structure.
+/// `None` here and cost nothing to record. Where every condition reads `s1`
+/// only through point queries at the operation's own arguments (Set
+/// `remove`, Map `put` and `remove`), the entry holds the pre-state
+/// *restricted to those keys* — a set or map of at most one entry, which
+/// answers those queries exactly as the whole state would (see
+/// [`CommutativityGatekeeper::capture_pre_state`](crate::CommutativityGatekeeper::capture_pre_state)).
+/// Otherwise the whole state is captured as a persistent [`Value`] handle
+/// (`PSet`/`PMap`/`PSeq` payloads), which clones in O(1) from the runtime's
+/// incrementally-maintained mirror but keeps the mirror shared while the
+/// entry lives. Either way, recording an entry never walks the structure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogEntry {
     /// The transaction that executed the operation.
@@ -37,7 +43,8 @@ pub struct LogEntry {
     pub result: Option<Value>,
     /// The abstract state immediately before the operation executed, as a
     /// logical value — recorded only for operations whose between conditions
-    /// read `s1` (`None` otherwise).
+    /// read `s1` (`None` otherwise), and restricted to the operation's own
+    /// keys wherever those conditions read only them.
     pub pre_state: Option<Value>,
 }
 

@@ -316,11 +316,10 @@ fn differential_across_mode_transitions(structure_name: &str, threads: u64) {
     assert!((1..=24).contains(&fired), "fired {fired} forced conflicts");
 }
 
-/// The two backends must want pre-states for exactly the same operations:
-/// the interpreter's syntactic free-variable projection and the compiled
-/// programs' actual `s1` slot reads have to agree pair by pair across the
-/// full catalog, or one backend would log pre-states the other expects —
-/// snapshotting would regress silently.
+/// The executor decides what to capture from one syntactic scan under both
+/// backends, so the compiled programs' actual `s1` slot reads have to agree
+/// with it pair by pair across the full catalog: a compiled program reading
+/// `s1` where the scan found none would meet an entry without a pre-state.
 #[test]
 fn requires_pre_state_projections_agree_across_the_catalog() {
     for interface in InterfaceId::ALL {

@@ -5,8 +5,9 @@
 //! term-tree interpreter [`eval_bool`] on arbitrary slot valuations —
 //! including error *strings* (modulo the compiled executor's
 //! `"evaluating goal:"` region prefix) — and the compiled program's input
-//! reads must coincide with the formula's free variables, which is what the
-//! gatekeeper's `requires_pre_state` projection is derived from. A second
+//! reads must coincide with the formula's free variables, so the compiled
+//! backend reads `s1` exactly where the gatekeeper's syntactic
+//! `requires_pre_state` classification captures a pre-state. A second
 //! test drives many programs through one shared register buffer in shuffled
 //! order and checks the results against fresh-buffer evaluations: register
 //! reuse across calls and across programs must never leak state.
@@ -275,8 +276,8 @@ fn compiled_formula_agrees_with_eval_bool_on_arbitrary_valuations() {
         let program = Program::lower_formula(&formula, &order);
         assert_eq!(program.input_count(), vocab.len());
 
-        // Input reads ≡ free variables: the basis of the gatekeeper's
-        // compiled `requires_pre_state` projection.
+        // Input reads ≡ free variables: a compiled program never reads a
+        // pre-state the syntactic `requires_pre_state` scan left out.
         let free = free_vars(&formula);
         for (slot, (name, _)) in vocab.iter().enumerate() {
             assert_eq!(
