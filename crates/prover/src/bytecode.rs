@@ -21,10 +21,14 @@
 //!   [`LANES`] candidates at once, column-wise: each register holds a
 //!   [`LANES`]-wide column, boolean columns are 256-bit masks (`u64x4`
 //!   words) so comparisons and connectives amortize to a few word ops,
-//!   integer columns are flat `i64` lanes, and whole-block-constant
-//!   ("uniform") operands are evaluated once per block. Collection-valued
-//!   registers and error paths fall back to per-candidate scalar execution
-//!   of that instruction, lane by lane, in ascending lane order.
+//!   integer columns are flat `i64` lanes, element columns raw `u32` ids,
+//!   sequence columns one packed `u64` per lane (`crate::packed`: length
+//!   plus 4-bit element codes, capacity 15), and whole-block-constant
+//!   ("uniform") operands are evaluated once per block. `Eq`, `Ite` and
+//!   every sequence operation run as word operations on those lanes. Set
+//!   and map registers, lanes whose sequence does not fit a word, and error
+//!   paths fall back to boxed scalar execution of that instruction, lane by
+//!   lane, in ascending lane order.
 //!
 //! Semantics mirror the reference evaluator **exactly** — totalization,
 //! operand evaluation order, sort-check order and error strings,
@@ -42,10 +46,11 @@
 use std::collections::{HashMap, HashSet};
 
 use semcommute_logic::eval::MAX_QUANTIFIER_RANGE;
-use semcommute_logic::{ElemId, Model, PMap, PSeq, PSet, Term, Value, NULL_ELEM};
+use semcommute_logic::{ElemId, Model, PMap, PSeq, PSet, Sort, Term, Value, NULL_ELEM};
 
 use crate::compiled::{CTerm, CompiledObligation, Step};
 use crate::obligation::Obligation;
+use crate::packed;
 use crate::space::BlockBuf;
 
 /// Register index.
@@ -57,56 +62,15 @@ pub const LANES: usize = 256;
 /// A 256-lane bitmask: one bit per candidate lane, as four machine words.
 pub type Lanes = [u64; 4];
 
-/// The sort a [`Instr::Coerce`] assertion requires, with the exact wording
-/// the reference evaluator uses in its error messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Kind {
-    Bool,
-    Int,
-    Elem,
-    Set,
-    Map,
-    Seq,
-}
-
-impl Kind {
-    fn word(self) -> &'static str {
-        // Must match `Sort`'s `Display` exactly — the reference evaluator
-        // formats the expected sort through it.
-        match self {
-            Kind::Bool => "bool",
-            Kind::Int => "int",
-            Kind::Elem => "obj",
-            Kind::Set => "obj set",
-            Kind::Map => "(obj, obj) map",
-            Kind::Seq => "obj seq",
-        }
-    }
-
-    fn matches(self, v: &Value) -> bool {
-        matches!(
-            (self, v),
-            (Kind::Bool, Value::Bool(_))
-                | (Kind::Int, Value::Int(_))
-                | (Kind::Elem, Value::Elem(_))
-                | (Kind::Set, Value::Set(_))
-                | (Kind::Map, Value::Map(_))
-                | (Kind::Seq, Value::Seq(_))
-        )
-    }
-}
-
-/// Checks that `v` has sort `kind`, reproducing the reference evaluator's
-/// `"{ctx}: expected {kind}, found {sort}"` message on mismatch.
-fn coerce_value(v: &Value, kind: Kind, ctx: &str) -> Result<(), String> {
-    if kind.matches(v) {
+/// Checks that a value of sort `found` has the sort `kind` a
+/// [`Instr::Coerce`] assertion requires, reproducing the reference
+/// evaluator's `"{ctx}: expected {kind}, found {sort}"` message (through
+/// `Sort`'s `Display`, as the reference formats it) on mismatch.
+fn coerce_sort(found: Sort, kind: Sort, ctx: &str) -> Result<(), String> {
+    if kind == found {
         Ok(())
     } else {
-        Err(format!(
-            "{ctx}: expected {}, found {}",
-            kind.word(),
-            v.sort()
-        ))
+        Err(format!("{ctx}: expected {kind}, found {found}"))
     }
 }
 
@@ -166,7 +130,7 @@ enum Instr {
     /// no-op (the register itself is the coerced value).
     Coerce {
         a: R,
-        kind: Kind,
+        kind: Sort,
         ctx: &'static str,
     },
     /// A read of a slot that was never bound: always errors with the
@@ -331,7 +295,7 @@ struct Lower {
     /// Layered value-numbering maps (one layer per open quantifier body).
     cse: Vec<HashMap<CseKey, R>>,
     /// Layered already-asserted `(register, kind)` coercions.
-    coerced: Vec<HashSet<(R, Kind)>>,
+    coerced: Vec<HashSet<(R, Sort)>>,
     next_reg: R,
 }
 
@@ -369,7 +333,7 @@ impl Lower {
     /// observation-equivalent: registers are immutable once written, so the
     /// repeat would see the same value (and the first occurrence — which is
     /// also where the reference evaluator first checks — already decided).
-    fn coerce(&mut self, a: R, kind: Kind, ctx: &'static str) {
+    fn coerce(&mut self, a: R, kind: Sort, ctx: &'static str) {
         if self.coerced.iter().any(|layer| layer.contains(&(a, kind))) {
             return;
         }
@@ -393,7 +357,7 @@ impl Lower {
     /// Lowers a collection operation: operands in evaluation order, each
     /// followed by its sort assertion, exactly mirroring the reference
     /// evaluator's operand/check interleaving and context strings.
-    fn coll(&mut self, op: CollOp, args: &[(&CTerm, Kind, &'static str)]) -> R {
+    fn coll(&mut self, op: CollOp, args: &[(&CTerm, Sort, &'static str)]) -> R {
         let mut regs = [0u32; 3];
         for (i, (term, kind, ctx)) in args.iter().enumerate() {
             let r = self.lower(term);
@@ -421,7 +385,7 @@ impl Lower {
         let mut acc: Option<R> = None;
         for c in cs {
             let rc = self.lower(c);
-            self.coerce(rc, Kind::Bool, ctx);
+            self.coerce(rc, Sort::Bool, ctx);
             acc = Some(match acc {
                 None => rc,
                 Some(a) => self.cse(CseKey::Bool2(op, a, rc), |out| Instr::Bool2 {
@@ -437,9 +401,9 @@ impl Lower {
 
     fn bool2(&mut self, op: Bool2, ctx: &'static str, a: &CTerm, b: &CTerm) -> R {
         let ra = self.lower(a);
-        self.coerce(ra, Kind::Bool, ctx);
+        self.coerce(ra, Sort::Bool, ctx);
         let rb = self.lower(b);
-        self.coerce(rb, Kind::Bool, ctx);
+        self.coerce(rb, Sort::Bool, ctx);
         self.cse(CseKey::Bool2(op, ra, rb), |out| Instr::Bool2 {
             op,
             out,
@@ -450,9 +414,9 @@ impl Lower {
 
     fn int2(&mut self, op: Int2, ctx: &'static str, a: &CTerm, b: &CTerm) -> R {
         let ra = self.lower(a);
-        self.coerce(ra, Kind::Int, ctx);
+        self.coerce(ra, Sort::Int, ctx);
         let rb = self.lower(b);
-        self.coerce(rb, Kind::Int, ctx);
+        self.coerce(rb, Sort::Int, ctx);
         self.cse(CseKey::Int2(op, ra, rb), |out| Instr::Int2 {
             op,
             out,
@@ -463,7 +427,7 @@ impl Lower {
 
     fn lower(&mut self, term: &CTerm) -> R {
         use CollOp as O;
-        use Kind as K;
+        use Sort as K;
         match term {
             CTerm::Slot(i) => match self.slot_reg.get(*i as usize).copied().flatten() {
                 Some(r) => r,
@@ -1018,7 +982,7 @@ impl Program {
     fn exec_scalar(&self, instr: &Instr, regs: &mut [Value]) -> Result<Flow, String> {
         match instr {
             Instr::Coerce { a, kind, ctx } => {
-                coerce_value(&regs[*a as usize], *kind, ctx)?;
+                coerce_sort(regs[*a as usize].sort(), *kind, ctx)?;
             }
             Instr::Unbound { slot } => return Err(format!("unbound slot {slot}")),
             Instr::Check { r } => match &regs[*r as usize] {
@@ -1363,21 +1327,189 @@ enum Col {
     Bools(Lanes),
     /// An integer column, one `i64` per lane.
     Ints(Box<[i64; LANES]>),
-    /// Per-lane values (collections, elements, mixed sorts).
+    /// An element column, one raw element id (`ElemId.0`, `null` included)
+    /// per lane.
+    Elems(Box<[u32; LANES]>),
+    /// A sequence column, one packed word ([`crate::packed`]) per lane, with
+    /// the lanes whose sequence does not fit kept boxed.
+    Seqs(Box<SeqCol>),
+    /// Per-lane boxed values (sets, maps, mixed sorts).
     Values(Vec<Value>),
 }
 
-/// An integer view of a column for the vectorized arithmetic paths.
-enum IntsView<'a> {
-    Arr(&'a [i64; LANES]),
-    Splat(i64),
+/// The lanes of a [`Col::Seqs`] column.
+#[derive(Debug, Clone)]
+struct SeqCol {
+    /// Packed words; meaningful at lanes not in `spilled`.
+    words: [u64; LANES],
+    /// Lanes whose sequence has no packed word.
+    spilled: Lanes,
+    /// The boxed sequences of the `spilled` lanes (allocated on first
+    /// spill, then `LANES` long).
+    spill: Vec<Value>,
 }
 
-impl IntsView<'_> {
-    fn get(&self, lane: usize) -> i64 {
+impl SeqCol {
+    fn write(&mut self, lane: usize, s: PSeq) {
+        match packed::pack_seq(&s) {
+            Some(w) => self.write_word(lane, w),
+            None => {
+                set_lane_bit(&mut self.spilled, lane, true);
+                if self.spill.is_empty() {
+                    self.spill = vec![Value::Bool(false); LANES];
+                }
+                self.spill[lane] = Value::Seq(s);
+            }
+        }
+    }
+
+    fn write_word(&mut self, lane: usize, w: u64) {
+        self.words[lane] = w;
+        set_lane_bit(&mut self.spilled, lane, false);
+    }
+
+    fn value(&self, lane: usize) -> Value {
+        if lane_bit(&self.spilled, lane) {
+            self.spill[lane].clone()
+        } else {
+            Value::Seq(packed::unpack_seq(self.words[lane]))
+        }
+    }
+}
+
+/// One lane's value in machine-word form: the operands and results of the
+/// packed instruction forms ([`apply_word`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Word {
+    Bool(bool),
+    Int(i64),
+    /// A raw element id.
+    Elem(u32),
+    /// A packed sequence.
+    Seq(u64),
+}
+
+impl Word {
+    /// The word form of a value, if it has one (sets and maps never do).
+    fn of(v: &Value) -> Option<Word> {
+        match v {
+            Value::Bool(b) => Some(Word::Bool(*b)),
+            Value::Int(i) => Some(Word::Int(*i)),
+            Value::Elem(e) => Some(Word::Elem(e.0)),
+            Value::Seq(s) => packed::pack_seq(s).map(Word::Seq),
+            Value::Set(_) | Value::Map(_) => None,
+        }
+    }
+
+    fn into_value(self) -> Value {
         match self {
-            IntsView::Arr(a) => a[lane],
-            IntsView::Splat(i) => *i,
+            Word::Bool(b) => Value::Bool(b),
+            Word::Int(i) => Value::Int(i),
+            Word::Elem(e) => Value::Elem(ElemId(e)),
+            Word::Seq(w) => Value::Seq(packed::unpack_seq(w)),
+        }
+    }
+
+    fn same_sort(self, other: Word) -> bool {
+        std::mem::discriminant(&self) == std::mem::discriminant(&other)
+    }
+}
+
+/// The packed form of a pure instruction: its result on word operands, or
+/// `None` when the instruction has no word form for them — a set or map
+/// operation, operands of unexpected sorts (including the `Eq` / `Ite`
+/// sort-mismatch errors), or a result that does not fit in a word. The
+/// caller then runs the boxed [`apply`], so every error and every
+/// totalization stays exactly the reference one.
+fn apply_word(instr: &Instr, a: Word, b: Word, c: Word) -> Option<Word> {
+    use packed as P;
+    use Word as W;
+    Some(match (instr, a, b, c) {
+        (Instr::Not { .. }, W::Bool(x), _, _) => W::Bool(!x),
+        (Instr::Bool2 { op, .. }, W::Bool(x), W::Bool(y), _) => W::Bool(match op {
+            Bool2::And => x & y,
+            Bool2::Or => x | y,
+            Bool2::Implies => !x | y,
+            Bool2::Iff => x == y,
+        }),
+        (Instr::Int2 { op, .. }, W::Int(x), W::Int(y), _) => match op {
+            Int2::Add => W::Int(x.wrapping_add(y)),
+            Int2::Sub => W::Int(x.wrapping_sub(y)),
+            Int2::Lt => W::Bool(x < y),
+            Int2::Le => W::Bool(x <= y),
+        },
+        (Instr::Neg { .. }, W::Int(x), _, _) => W::Int(x.wrapping_neg()),
+        // Packed encodings are canonical: equal words, equal values.
+        (Instr::Eq { .. }, a, b, _) if a.same_sort(b) => W::Bool(a == b),
+        (Instr::Ite { .. }, W::Bool(cond), t, e) if t.same_sort(e) => {
+            if cond {
+                t
+            } else {
+                e
+            }
+        }
+        (Instr::Coll { op, .. }, a, b, c) => match (op, a, b, c) {
+            (CollOp::SeqLen, W::Seq(s), _, _) => W::Int(P::seq_len(s) as i64),
+            (CollOp::SeqAt, W::Seq(s), W::Int(i), _) => W::Elem(P::seq_at(s, i)),
+            (CollOp::SeqSetAt, W::Seq(s), W::Int(i), W::Elem(v)) => W::Seq(P::seq_set_at(s, i, v)?),
+            (CollOp::SeqInsertAt, W::Seq(s), W::Int(i), W::Elem(v)) => {
+                W::Seq(P::seq_insert_at(s, i, v)?)
+            }
+            (CollOp::SeqRemoveAt, W::Seq(s), W::Int(i), _) => W::Seq(P::seq_remove_at(s, i)),
+            (CollOp::SeqIndexOf, W::Seq(s), W::Elem(v), _) => W::Int(P::seq_index_of(s, v)),
+            (CollOp::SeqLastIndexOf, W::Seq(s), W::Elem(v), _) => {
+                W::Int(P::seq_last_index_of(s, v))
+            }
+            (CollOp::SeqContains, W::Seq(s), W::Elem(v), _) => W::Bool(P::seq_contains(s, v)),
+            _ => return None,
+        },
+        _ => return None,
+    })
+}
+
+/// A full-width typed view of a column for the vectorized paths: integer,
+/// element or packed-sequence lanes, or one uniform value.
+#[derive(Clone, Copy)]
+enum LaneView<'a, T: Copy> {
+    Arr(&'a [T; LANES]),
+    Splat(T),
+}
+
+impl<T: Copy> LaneView<'_, T> {
+    fn get(&self, lane: usize) -> T {
+        match self {
+            LaneView::Arr(a) => a[lane],
+            LaneView::Splat(x) => *x,
+        }
+    }
+}
+
+/// A word view of one operand column for one instruction: a uniform value
+/// is packed once, not once per lane.
+enum WordView<'a> {
+    Splat(Option<Word>),
+    Col(&'a Col),
+}
+
+impl WordView<'_> {
+    fn of(col: &Col) -> WordView<'_> {
+        match col {
+            Col::Uniform(v) => WordView::Splat(Word::of(v)),
+            col => WordView::Col(col),
+        }
+    }
+
+    /// The word at `lane`; `None` for boxed lanes.
+    fn get(&self, lane: usize) -> Option<Word> {
+        match self {
+            WordView::Splat(w) => *w,
+            WordView::Col(Col::Bools(m)) => Some(Word::Bool(lane_bit(m, lane))),
+            WordView::Col(Col::Ints(a)) => Some(Word::Int(a[lane])),
+            WordView::Col(Col::Elems(a)) => Some(Word::Elem(a[lane])),
+            WordView::Col(Col::Seqs(s)) => {
+                (!lane_bit(&s.spilled, lane)).then(|| Word::Seq(s.words[lane]))
+            }
+            WordView::Col(Col::Uniform(_) | Col::Values(_)) => None,
         }
     }
 }
@@ -1402,11 +1534,61 @@ fn bool_view(col: &Col) -> Option<Lanes> {
     }
 }
 
-fn ints_view(col: &Col) -> Option<IntsView<'_>> {
+fn ints_view(col: &Col) -> Option<LaneView<'_, i64>> {
     match col {
-        Col::Ints(a) => Some(IntsView::Arr(a)),
-        Col::Uniform(Value::Int(i)) => Some(IntsView::Splat(*i)),
+        Col::Ints(a) => Some(LaneView::Arr(a)),
+        Col::Uniform(Value::Int(i)) => Some(LaneView::Splat(*i)),
         _ => None,
+    }
+}
+
+fn elems_view(col: &Col) -> Option<LaneView<'_, u32>> {
+    match col {
+        Col::Elems(a) => Some(LaneView::Arr(a)),
+        Col::Uniform(Value::Elem(e)) => Some(LaneView::Splat(e.0)),
+        _ => None,
+    }
+}
+
+/// The packed words of a sequence column, when no `active` lane is boxed.
+fn seqs_view(col: &Col, active: Lanes) -> Option<LaneView<'_, u64>> {
+    match col {
+        Col::Seqs(s) if mask_is_empty(&mask_and(s.spilled, active)) => {
+            Some(LaneView::Arr(&s.words))
+        }
+        Col::Uniform(Value::Seq(s)) => packed::pack_seq(s).map(LaneView::Splat),
+        _ => None,
+    }
+}
+
+/// A mask with bit `lane` set wherever `hit(lane)`, over all [`LANES`]
+/// lanes (inactive lanes hold stale values; their bits are never read).
+fn mask_where(hit: impl Fn(usize) -> bool) -> Lanes {
+    let mut m = mask_zero();
+    for lane in 0..LANES {
+        set_lane_bit(&mut m, lane, hit(lane));
+    }
+    m
+}
+
+/// The sort every lane of a column has, when the representation fixes one
+/// (`None` for per-lane boxed values).
+fn col_sort(col: &Col) -> Option<Sort> {
+    match col {
+        Col::Uniform(v) => Some(v.sort()),
+        Col::Bools(_) => Some(Sort::Bool),
+        Col::Ints(_) => Some(Sort::Int),
+        Col::Elems(_) => Some(Sort::Elem),
+        Col::Seqs(_) => Some(Sort::Seq),
+        Col::Values(_) => None,
+    }
+}
+
+/// The sort of a column at one lane, without materializing the value.
+fn lane_sort(col: &Col, lane: usize) -> Sort {
+    match col {
+        Col::Values(vs) => vs[lane].sort(),
+        col => col_sort(col).expect("typed column"),
     }
 }
 
@@ -1416,23 +1598,23 @@ fn lane_value(col: &Col, lane: usize) -> Value {
         Col::Uniform(v) => v.clone(),
         Col::Bools(m) => Value::Bool(lane_bit(m, lane)),
         Col::Ints(a) => Value::Int(a[lane]),
+        Col::Elems(a) => Value::Elem(ElemId(a[lane])),
+        Col::Seqs(s) => s.value(lane),
         Col::Values(vs) => vs[lane].clone(),
     }
 }
 
-/// A borrowed view of a column at one lane; `Bools` / `Ints` lanes are
-/// materialized into `scratch`, `Uniform` / `Values` lanes are borrowed in
-/// place (so collection reads keep their no-refcount borrow path).
+/// A borrowed view of a column at one lane; word lanes are materialized
+/// into `scratch`, `Uniform` / `Values` lanes (and spilled sequences) are
+/// borrowed in place (so collection reads keep their no-refcount borrow
+/// path).
 fn lane_ref<'a>(col: &'a Col, lane: usize, scratch: &'a mut Value) -> &'a Value {
     match col {
         Col::Uniform(v) => v,
         Col::Values(vs) => &vs[lane],
-        Col::Bools(m) => {
-            *scratch = Value::Bool(lane_bit(m, lane));
-            scratch
-        }
-        Col::Ints(a) => {
-            *scratch = Value::Int(a[lane]);
+        Col::Seqs(s) if lane_bit(&s.spilled, lane) => &s.spill[lane],
+        col => {
+            *scratch = lane_value(col, lane);
             scratch
         }
     }
@@ -1445,10 +1627,15 @@ fn lane_ref<'a>(col: &'a Col, lane: usize, scratch: &'a mut Value) -> &'a Value 
 enum Shape {
     Bool,
     Int,
+    Elem,
+    Seq,
     Other,
 }
 
-fn out_shape(instr: &Instr) -> Shape {
+/// The output shape of `instr` given the current columns: fixed by the
+/// opcode, except for `Ite`, whose result has its then-branch's sort (the
+/// else-branch must match or the lane errors).
+fn out_shape(instr: &Instr, cols: &[Col]) -> Shape {
     match instr {
         Instr::Not { .. } | Instr::Bool2 { .. } | Instr::Eq { .. } | Instr::Quant { .. } => {
             Shape::Bool
@@ -1458,6 +1645,13 @@ fn out_shape(instr: &Instr) -> Shape {
             Int2::Lt | Int2::Le => Shape::Bool,
         },
         Instr::Neg { .. } => Shape::Int,
+        Instr::Ite { t, .. } => match col_sort(&cols[*t as usize]) {
+            Some(Sort::Bool) => Shape::Bool,
+            Some(Sort::Int) => Shape::Int,
+            Some(Sort::Elem) => Shape::Elem,
+            Some(Sort::Seq) => Shape::Seq,
+            _ => Shape::Other,
+        },
         Instr::Coll { op, .. } => match op {
             CollOp::Member | CollOp::MapHasKey | CollOp::SeqContains => Shape::Bool,
             CollOp::Card
@@ -1465,10 +1659,19 @@ fn out_shape(instr: &Instr) -> Shape {
             | CollOp::SeqLen
             | CollOp::SeqIndexOf
             | CollOp::SeqLastIndexOf => Shape::Int,
-            _ => Shape::Other,
+            CollOp::MapGet | CollOp::SeqAt => Shape::Elem,
+            CollOp::SeqInsertAt | CollOp::SeqRemoveAt | CollOp::SeqSetAt => Shape::Seq,
+            CollOp::SetAdd | CollOp::SetRemove | CollOp::MapPut | CollOp::MapRemove => Shape::Other,
         },
         _ => Shape::Other,
     }
+}
+
+/// Moves a column out of its register (leaving a placeholder), so it can be
+/// written while the operand registers are read; the caller puts it back.
+/// Keeps the column's allocation for reuse.
+fn take_col(col: &mut Col) -> Col {
+    std::mem::replace(col, Col::Bools(mask_zero()))
 }
 
 fn ensure_bools(col: &mut Col) -> &mut Lanes {
@@ -1491,6 +1694,30 @@ fn ensure_ints(col: &mut Col) -> &mut [i64; LANES] {
     }
 }
 
+fn ensure_elems(col: &mut Col) -> &mut [u32; LANES] {
+    if !matches!(col, Col::Elems(_)) {
+        *col = Col::Elems(Box::new([0; LANES]));
+    }
+    match col {
+        Col::Elems(a) => a,
+        _ => unreachable!(),
+    }
+}
+
+fn ensure_seqs(col: &mut Col) -> &mut SeqCol {
+    if !matches!(col, Col::Seqs(_)) {
+        *col = Col::Seqs(Box::new(SeqCol {
+            words: [0; LANES],
+            spilled: mask_zero(),
+            spill: Vec::new(),
+        }));
+    }
+    match col {
+        Col::Seqs(s) => s,
+        _ => unreachable!(),
+    }
+}
+
 fn ensure_values(col: &mut Col) -> &mut Vec<Value> {
     if !matches!(col, Col::Values(_)) {
         *col = Col::Values(vec![Value::Bool(false); LANES]);
@@ -1509,7 +1736,20 @@ fn write_lane(col: &mut Col, lane: usize, shape: Shape, v: Value) {
     match (shape, v) {
         (Shape::Bool, Value::Bool(b)) => set_lane_bit(ensure_bools(col), lane, b),
         (Shape::Int, Value::Int(i)) => ensure_ints(col)[lane] = i,
+        (Shape::Elem, Value::Elem(e)) => ensure_elems(col)[lane] = e.0,
+        (Shape::Seq, Value::Seq(s)) => ensure_seqs(col).write(lane, s),
         (_, v) => ensure_values(col)[lane] = v,
+    }
+}
+
+/// [`write_lane`] for a word result.
+fn write_word(col: &mut Col, lane: usize, shape: Shape, w: Word) {
+    match (shape, w) {
+        (Shape::Bool, Word::Bool(b)) => set_lane_bit(ensure_bools(col), lane, b),
+        (Shape::Int, Word::Int(i)) => ensure_ints(col)[lane] = i,
+        (Shape::Elem, Word::Elem(e)) => ensure_elems(col)[lane] = e,
+        (Shape::Seq, Word::Seq(s)) => ensure_seqs(col).write_word(lane, s),
+        (_, w) => ensure_values(col)[lane] = w.into_value(),
     }
 }
 
@@ -1520,23 +1760,21 @@ fn write_lane(col: &mut Col, lane: usize, shape: Shape, v: Value) {
 /// reported, the mask bits *below* it are valid — the caller applies them to
 /// the lanes the sequential walk would still have reached before the error.
 fn mask_col(col: &Col, active: Lanes) -> (Lanes, Option<(usize, String)>) {
-    let err_at = |lane: usize, v: &Value| {
+    let err_at = |lane: usize, sort: Sort| {
         (
             mask_zero(),
-            Some((lane, format!("expected bool, found {}", v.sort()))),
+            Some((lane, format!("expected bool, found {sort}"))),
         )
     };
     match col {
         Col::Bools(m) => (*m, None),
         Col::Uniform(Value::Bool(b)) => (if *b { [u64::MAX; 4] } else { mask_zero() }, None),
-        Col::Uniform(v) => match first_lane(&active) {
-            Some(lane) => err_at(lane, v),
-            None => (mask_zero(), None),
-        },
-        Col::Ints(_) => match first_lane(&active) {
-            Some(lane) => err_at(lane, &Value::Int(0)),
-            None => (mask_zero(), None),
-        },
+        Col::Uniform(_) | Col::Ints(_) | Col::Elems(_) | Col::Seqs(_) => {
+            match first_lane(&active) {
+                Some(lane) => err_at(lane, lane_sort(col, lane)),
+                None => (mask_zero(), None),
+            }
+        }
         Col::Values(vs) => {
             let mut m = mask_zero();
             for lane in LaneIter::new(active) {
@@ -1566,8 +1804,8 @@ pub struct BlockExec {
     active: Lanes,
     /// Lanes whose goal evaluated to `false` — counterexamples.
     cex: Lanes,
-    /// Lanes that executed at least one instruction on the per-lane scalar
-    /// fallback path within the current block.
+    /// Lanes that executed at least one instruction on the boxed scalar
+    /// fallback ([`apply`] on `Value`s) within the current block.
     fallback: Lanes,
     batches: u64,
     fallback_lanes: u64,
@@ -1593,9 +1831,10 @@ impl BlockExec {
         self.batches
     }
 
-    /// Number of candidate lanes that took the per-lane scalar fallback for
-    /// at least one instruction (collection-valued or mixed-sort columns,
-    /// quantifiers).
+    /// Number of candidate lanes that took the boxed scalar fallback for at
+    /// least one instruction: set and map operations, mixed-sort columns,
+    /// sequences that do not fit a packed word. Word operations on element
+    /// and sequence lanes — inside quantifier bodies too — do not count.
     pub fn fallback_lanes(&self) -> u64 {
         self.fallback_lanes
     }
@@ -1638,7 +1877,7 @@ impl Program {
         exec.active = lanes_up_to(lanes);
         exec.cex = mask_zero();
         exec.fallback = mask_zero();
-        self.load_inputs(block, lanes, exec);
+        self.load_inputs(block, exec);
 
         let mut error: Option<(usize, String)> = None;
         for (pc, instr) in self.instrs.iter().enumerate() {
@@ -1667,37 +1906,51 @@ impl Program {
 
     /// Loads the block's input variables into the first `input_count`
     /// columns: an all-equal column becomes `Uniform` (evaluated once per
-    /// block downstream), otherwise integers and booleans get packed lanes
-    /// and everything else a per-lane `Values` column.
-    fn load_inputs(&self, block: &BlockBuf, lanes: usize, exec: &mut BlockExec) {
+    /// block downstream); otherwise booleans, integers, elements and
+    /// sequences get word lanes — a sequence's packed word comes from its
+    /// memoised candidate list, computed once per list — and sets and maps a
+    /// per-lane boxed column.
+    fn load_inputs(&self, block: &BlockBuf, exec: &mut BlockExec) {
         for var in 0..self.input_count {
-            let first = block.value(0, var);
-            let uniform = (1..lanes).all(|lane| block.value(lane, var) == first);
-            exec.cols[var] = if uniform {
-                Col::Uniform(first.clone())
-            } else if (0..lanes).all(|lane| matches!(block.value(lane, var), Value::Int(_))) {
-                let mut a = Box::new([0i64; LANES]);
-                for (lane, out) in a.iter_mut().enumerate().take(lanes) {
-                    if let Value::Int(i) = block.value(lane, var) {
-                        *out = *i;
-                    }
+            let col = &mut exec.cols[var];
+            if block.is_uniform(var) {
+                *col = Col::Uniform(block.value(0, var).clone());
+                continue;
+            }
+            match block.sort(var) {
+                Sort::Elem => {
+                    let ids = ensure_elems(col);
+                    block.for_each_elem(var, |lane, id| ids[lane] = id);
                 }
-                Col::Ints(a)
-            } else if (0..lanes).all(|lane| matches!(block.value(lane, var), Value::Bool(_))) {
-                let mut m = mask_zero();
-                for lane in 0..lanes {
-                    if let Value::Bool(b) = block.value(lane, var) {
-                        set_lane_bit(&mut m, lane, *b);
-                    }
+                Sort::Bool => {
+                    let m = ensure_bools(col);
+                    block.for_each_listed(var, |lane, list, i| {
+                        set_lane_bit(m, lane, matches!(list.values()[i], Value::Bool(true)))
+                    });
                 }
-                Col::Bools(m)
-            } else {
-                let mut vs = vec![Value::Bool(false); LANES];
-                for (lane, out) in vs.iter_mut().enumerate().take(lanes) {
-                    *out = block.value(lane, var).clone();
+                Sort::Int => {
+                    let ints = ensure_ints(col);
+                    block.for_each_listed(var, |lane, list, i| {
+                        if let Value::Int(x) = list.values()[i] {
+                            ints[lane] = x;
+                        }
+                    });
                 }
-                Col::Values(vs)
-            };
+                Sort::Seq => {
+                    let seqs = ensure_seqs(col);
+                    block.for_each_listed(var, |lane, list, i| {
+                        match (list.packed(i), &list.values()[i]) {
+                            (Some(w), _) => seqs.write_word(lane, w),
+                            (None, Value::Seq(s)) => seqs.write(lane, s.clone()),
+                            (None, _) => unreachable!("sequence lists hold sequences"),
+                        }
+                    });
+                }
+                Sort::Set | Sort::Map => {
+                    let vs = ensure_values(col);
+                    block.for_each_listed(var, |lane, list, i| vs[lane] = list.values()[i].clone());
+                }
+            }
         }
     }
 
@@ -1709,30 +1962,17 @@ impl Program {
         match instr {
             Instr::Coerce { a, kind, ctx } => {
                 match &exec.cols[*a as usize] {
-                    Col::Bools(_) => {
-                        if *kind != Kind::Bool {
-                            let lane = first_lane(&exec.active).unwrap_or(0);
-                            let e = coerce_value(&Value::Bool(false), *kind, ctx).unwrap_err();
-                            return Err((lane, e));
-                        }
-                    }
-                    Col::Ints(_) => {
-                        if *kind != Kind::Int {
-                            let lane = first_lane(&exec.active).unwrap_or(0);
-                            let e = coerce_value(&Value::Int(0), *kind, ctx).unwrap_err();
-                            return Err((lane, e));
-                        }
-                    }
-                    Col::Uniform(v) => {
-                        if let Err(e) = coerce_value(v, *kind, ctx) {
-                            return Err((first_lane(&exec.active).unwrap_or(0), e));
-                        }
-                    }
                     Col::Values(vs) => {
                         for lane in LaneIter::new(exec.active) {
-                            if let Err(e) = coerce_value(&vs[lane], *kind, ctx) {
+                            if let Err(e) = coerce_sort(vs[lane].sort(), *kind, ctx) {
                                 return Err((lane, e));
                             }
+                        }
+                    }
+                    col => {
+                        let sort = col_sort(col).expect("typed column");
+                        if let Err(e) = coerce_sort(sort, *kind, ctx) {
+                            return Err((first_lane(&exec.active).unwrap_or(0), e));
                         }
                     }
                 }
@@ -1765,7 +2005,6 @@ impl Program {
                 }
             }
             Instr::Quant { out, .. } => {
-                exec.fallback = mask_or(exec.fallback, exec.active);
                 let mut result = mask_zero();
                 for lane in LaneIter::new(exec.active) {
                     match self.quant_lane(instr, lane, exec) {
@@ -1784,11 +2023,45 @@ impl Program {
     }
 }
 
+/// Runs a pure instruction at one lane: the word form ([`apply_word`]) when
+/// every operand has a word at this lane and the result fits, the boxed
+/// [`apply`] otherwise. `views` are the operand columns' word views, `cols`
+/// the columns themselves (for the boxed path), `out` the output column,
+/// taken out of `cols`. Returns whether the boxed path ran.
+fn step_lane(
+    instr: &Instr,
+    views: &[WordView; 3],
+    cols: &[Col],
+    lane: usize,
+    out: &mut Col,
+    shape: Shape,
+) -> Result<bool, String> {
+    if let (Some(a), Some(b), Some(c)) =
+        (views[0].get(lane), views[1].get(lane), views[2].get(lane))
+    {
+        if let Some(w) = apply_word(instr, a, b, c) {
+            write_word(out, lane, shape, w);
+            return Ok(false);
+        }
+    }
+    let [ra, rb, rc] = operands(instr);
+    let mut s1 = Value::Bool(false);
+    let mut s2 = Value::Bool(false);
+    let mut s3 = Value::Bool(false);
+    let a = lane_ref(&cols[ra as usize], lane, &mut s1);
+    let b = lane_ref(&cols[rb as usize], lane, &mut s2);
+    let c = lane_ref(&cols[rc as usize], lane, &mut s3);
+    write_lane(out, lane, shape, apply(instr, a, b, c)?);
+    Ok(true)
+}
+
 impl Program {
     /// Executes a value-producing pure instruction column-wise: an
     /// all-uniform fast path (evaluate once per block), vectorized boolean /
-    /// integer paths over packed lanes, and a per-lane scalar fallback for
-    /// everything else (collection columns, mixed sorts).
+    /// integer paths over mask and integer lanes, and a per-lane loop for
+    /// everything else — word operations on element and packed-sequence
+    /// lanes, the boxed scalar fallback for sets, maps, mixed sorts and
+    /// sequences that do not fit.
     fn exec_pure_col(&self, instr: &Instr, exec: &mut BlockExec) -> Result<(), (usize, String)> {
         let [ra, rb, rc] = operands(instr);
         let out = out_reg(instr) as usize;
@@ -1830,14 +2103,14 @@ impl Program {
                 }
             }
             Instr::Int2 { op, a, b, .. } => {
-                if let (Some(va), Some(vb)) = (
-                    ints_view(&exec.cols[*a as usize]),
-                    ints_view(&exec.cols[*b as usize]),
-                ) {
-                    let col = match op {
+                let mut col = take_col(&mut exec.cols[out]);
+                let views =
+                    ints_view(&exec.cols[*a as usize]).zip(ints_view(&exec.cols[*b as usize]));
+                let done = views.is_some();
+                if let Some((va, vb)) = views {
+                    match op {
                         Int2::Add | Int2::Sub => {
-                            let mut arr = Box::new([0i64; LANES]);
-                            for (lane, o) in arr.iter_mut().enumerate() {
+                            for (lane, o) in ensure_ints(&mut col).iter_mut().enumerate() {
                                 let (x, y) = (va.get(lane), vb.get(lane));
                                 *o = if matches!(op, Int2::Add) {
                                     x.wrapping_add(y)
@@ -1845,33 +2118,27 @@ impl Program {
                                     x.wrapping_sub(y)
                                 };
                             }
-                            Col::Ints(arr)
                         }
-                        Int2::Lt | Int2::Le => {
-                            let mut m = mask_zero();
-                            for lane in 0..LANES {
-                                let (x, y) = (va.get(lane), vb.get(lane));
-                                let hit = if matches!(op, Int2::Lt) {
-                                    x < y
-                                } else {
-                                    x <= y
-                                };
-                                set_lane_bit(&mut m, lane, hit);
-                            }
-                            Col::Bools(m)
-                        }
-                    };
-                    exec.cols[out] = col;
+                        Int2::Lt => col = Col::Bools(mask_where(|l| va.get(l) < vb.get(l))),
+                        Int2::Le => col = Col::Bools(mask_where(|l| va.get(l) <= vb.get(l))),
+                    }
+                }
+                exec.cols[out] = col;
+                if done {
                     return Ok(());
                 }
             }
             Instr::Neg { a, .. } => {
-                if let Some(va) = ints_view(&exec.cols[*a as usize]) {
-                    let mut arr = Box::new([0i64; LANES]);
-                    for (lane, o) in arr.iter_mut().enumerate() {
+                let mut col = take_col(&mut exec.cols[out]);
+                let view = ints_view(&exec.cols[*a as usize]);
+                let done = view.is_some();
+                if let Some(va) = view {
+                    for (lane, o) in ensure_ints(&mut col).iter_mut().enumerate() {
                         *o = va.get(lane).wrapping_neg();
                     }
-                    exec.cols[out] = Col::Ints(arr);
+                }
+                exec.cols[out] = col;
+                if done {
                     return Ok(());
                 }
             }
@@ -1894,43 +2161,92 @@ impl Program {
                     }
                 }
                 if let (Some(va), Some(vb)) = (ints_view(ca), ints_view(cb)) {
-                    let mut m = mask_zero();
-                    for lane in 0..LANES {
-                        set_lane_bit(&mut m, lane, va.get(lane) == vb.get(lane));
+                    exec.cols[out] = Col::Bools(mask_where(|l| va.get(l) == vb.get(l)));
+                    return Ok(());
+                }
+                if let (Some(va), Some(vb)) = (elems_view(ca), elems_view(cb)) {
+                    exec.cols[out] = Col::Bools(mask_where(|l| va.get(l) == vb.get(l)));
+                    return Ok(());
+                }
+                // Packed words are canonical: equal words, equal sequences.
+                let active = exec.active;
+                if let (Some(va), Some(vb)) = (seqs_view(ca, active), seqs_view(cb, active)) {
+                    exec.cols[out] = Col::Bools(mask_where(|l| va.get(l) == vb.get(l)));
+                    return Ok(());
+                }
+            }
+            // The two hottest sequence reads, full width; every other word
+            // operation takes the per-lane loop below.
+            Instr::Coll {
+                op: CollOp::SeqLen,
+                a,
+                ..
+            } => {
+                let mut lens = take_col(&mut exec.cols[out]);
+                let done = seqs_view(&exec.cols[*a as usize], exec.active).map(|vs| {
+                    for (lane, o) in ensure_ints(&mut lens).iter_mut().enumerate() {
+                        *o = packed::seq_len(vs.get(lane)) as i64;
                     }
-                    exec.cols[out] = Col::Bools(m);
+                });
+                exec.cols[out] = lens;
+                if done.is_some() {
+                    return Ok(());
+                }
+            }
+            Instr::Coll {
+                op: CollOp::SeqAt,
+                a,
+                b,
+                ..
+            } => {
+                let mut elems = take_col(&mut exec.cols[out]);
+                let (ca, cb) = (&exec.cols[*a as usize], &exec.cols[*b as usize]);
+                let done = seqs_view(ca, exec.active)
+                    .zip(ints_view(cb))
+                    .map(|(vs, vi)| {
+                        for (lane, o) in ensure_elems(&mut elems).iter_mut().enumerate() {
+                            *o = packed::seq_at(vs.get(lane), vi.get(lane));
+                        }
+                    });
+                exec.cols[out] = elems;
+                if done.is_some() {
                     return Ok(());
                 }
             }
             _ => {}
         }
 
-        // Per-lane scalar fallback, ascending lane order (first error is the
-        // minimum-lane error).
-        exec.fallback = mask_or(exec.fallback, exec.active);
-        let shape = out_shape(instr);
+        // Per lane, ascending lane order (first error is the minimum-lane
+        // error): the word form where every operand lane has one and the
+        // result fits, the boxed fallback otherwise.
+        let shape = out_shape(instr, &exec.cols);
+        let mut out_col = take_col(&mut exec.cols[out]);
+        let views = [ra, rb, rc].map(|r| WordView::of(&exec.cols[r as usize]));
+        let mut result = Ok(());
         for lane in LaneIter::new(exec.active) {
-            let v = {
-                let mut s1 = Value::Bool(false);
-                let mut s2 = Value::Bool(false);
-                let mut s3 = Value::Bool(false);
-                let a = lane_ref(&exec.cols[ra as usize], lane, &mut s1);
-                let b = lane_ref(&exec.cols[rb as usize], lane, &mut s2);
-                let c = lane_ref(&exec.cols[rc as usize], lane, &mut s3);
-                apply(instr, a, b, c).map_err(|e| (lane, e))?
-            };
-            write_lane(&mut exec.cols[out], lane, shape, v);
+            match step_lane(instr, &views, &exec.cols, lane, &mut out_col, shape) {
+                Ok(boxed) => {
+                    if boxed {
+                        set_lane_bit(&mut exec.fallback, lane, true);
+                    }
+                }
+                Err(e) => {
+                    result = Err((lane, e));
+                    break;
+                }
+            }
         }
-        Ok(())
+        exec.cols[out] = out_col;
+        result
     }
 
-    /// Executes one instruction at a single lane (the scalar fallback inside
-    /// a block, and the whole of quantifier-body execution). Errors are raw.
+    /// Executes one instruction at a single lane (the whole of
+    /// quantifier-body execution), in word form where it has one. Errors are
+    /// raw.
     fn exec_lane(&self, instr: &Instr, lane: usize, exec: &mut BlockExec) -> Result<(), String> {
         match instr {
             Instr::Coerce { a, kind, ctx } => {
-                let mut s = Value::Bool(false);
-                coerce_value(lane_ref(&exec.cols[*a as usize], lane, &mut s), *kind, ctx)
+                coerce_sort(lane_sort(&exec.cols[*a as usize], lane), *kind, ctx)
             }
             Instr::Unbound { slot } => Err(format!("unbound slot {slot}")),
             Instr::Check { .. } | Instr::CheckGoal { .. } => {
@@ -1947,22 +2263,15 @@ impl Program {
                 Ok(())
             }
             pure => {
-                let [ra, rb, rc] = operands(pure);
-                let v = {
-                    let mut s1 = Value::Bool(false);
-                    let mut s2 = Value::Bool(false);
-                    let mut s3 = Value::Bool(false);
-                    let a = lane_ref(&exec.cols[ra as usize], lane, &mut s1);
-                    let b = lane_ref(&exec.cols[rb as usize], lane, &mut s2);
-                    let c = lane_ref(&exec.cols[rc as usize], lane, &mut s3);
-                    apply(pure, a, b, c)?
-                };
-                write_lane(
-                    &mut exec.cols[out_reg(pure) as usize],
-                    lane,
-                    out_shape(pure),
-                    v,
-                );
+                let out = out_reg(pure) as usize;
+                let shape = out_shape(pure, &exec.cols);
+                let mut out_col = take_col(&mut exec.cols[out]);
+                let views = operands(pure).map(|r| WordView::of(&exec.cols[r as usize]));
+                let stepped = step_lane(pure, &views, &exec.cols, lane, &mut out_col, shape);
+                exec.cols[out] = out_col;
+                if stepped? {
+                    set_lane_bit(&mut exec.fallback, lane, true);
+                }
                 Ok(())
             }
         }
@@ -2163,6 +2472,240 @@ mod tests {
             .count();
         assert_eq!(cards, 1);
         compare_scalar(&ob, &["s"], vec![Value::set_of([])]);
+    }
+
+    fn seq(ids: &[u32]) -> Value {
+        Value::Seq(ids.iter().map(|&i| ElemId(i)).collect())
+    }
+
+    /// Every sequence over {o1, o2, o3, null} up to length `max`, plus
+    /// sequences of length 14 and 15 (the packed capacity) — exhausting
+    /// those lengths is out of reach, so they cover one sequence per symbol
+    /// rotation.
+    fn sample_seqs(max: usize) -> Vec<Value> {
+        let symbols = [1, 2, 3, NULL_ELEM.0];
+        let mut out = vec![Vec::new()];
+        let mut frontier = vec![Vec::new()];
+        for _ in 0..max {
+            frontier = frontier
+                .iter()
+                .flat_map(|s: &Vec<u32>| {
+                    symbols.iter().map(move |&e| {
+                        let mut s = s.clone();
+                        s.push(e);
+                        s
+                    })
+                })
+                .collect();
+            out.extend(frontier.iter().cloned());
+        }
+        for len in [packed::SEQ_CAPACITY - 1, packed::SEQ_CAPACITY] {
+            for start in 0..symbols.len() {
+                out.push((0..len).map(|i| symbols[(start + i) % 4]).collect());
+            }
+        }
+        out.iter().map(|s| seq(s)).collect()
+    }
+
+    fn coll(op: CollOp) -> Instr {
+        Instr::Coll {
+            op,
+            out: 0,
+            a: 0,
+            b: 0,
+            c: 0,
+        }
+    }
+
+    /// The packed form must agree with the boxed one wherever it answers,
+    /// and answer exactly when the boxed result has a word form.
+    fn assert_word_form(instr: &Instr, a: &Value, b: &Value, c: &Value) {
+        let word = |v: &Value| Word::of(v).expect("operand packs");
+        let packed = apply_word(instr, word(a), word(b), word(c)).map(Word::into_value);
+        let boxed = apply(instr, a, b, c);
+        let expected = match &boxed {
+            Ok(v) => Word::of(v).map(|_| v.clone()),
+            Err(_) => None,
+        };
+        assert_eq!(
+            packed, expected,
+            "{instr:?} on {a:?}, {b:?}, {c:?}: boxed {boxed:?}"
+        );
+    }
+
+    #[test]
+    fn packed_sequence_ops_match_the_boxed_ops_exhaustively() {
+        // Element operands include ids with no 4-bit code (0 and 16).
+        let elems: Vec<Value> = [1, 2, 3, NULL_ELEM.0, 0, 16]
+            .iter()
+            .map(|&e| Value::Elem(ElemId(e)))
+            .collect();
+        let unused = Value::Bool(false);
+        for s in sample_seqs(4) {
+            let len = pseq_of(&s).unwrap().len() as i64;
+            assert_word_form(&coll(CollOp::SeqLen), &s, &s, &s);
+            for i in (-1..=len + 1).map(Value::Int) {
+                assert_word_form(&coll(CollOp::SeqAt), &s, &i, &unused);
+                assert_word_form(&coll(CollOp::SeqRemoveAt), &s, &i, &unused);
+                for v in &elems {
+                    assert_word_form(&coll(CollOp::SeqSetAt), &s, &i, v);
+                    assert_word_form(&coll(CollOp::SeqInsertAt), &s, &i, v);
+                }
+            }
+            for v in &elems {
+                assert_word_form(&coll(CollOp::SeqIndexOf), &s, v, &unused);
+                assert_word_form(&coll(CollOp::SeqLastIndexOf), &s, v, &unused);
+                assert_word_form(&coll(CollOp::SeqContains), &s, v, &unused);
+            }
+        }
+    }
+
+    #[test]
+    fn packed_eq_and_ite_match_the_boxed_ops_exhaustively() {
+        let eq = Instr::Eq { out: 0, a: 0, b: 0 };
+        let ite = Instr::Ite {
+            out: 0,
+            c: 0,
+            t: 0,
+            e: 0,
+        };
+        let seqs = sample_seqs(4);
+        for a in &seqs {
+            for b in &seqs {
+                assert_word_form(&eq, a, b, a);
+            }
+        }
+        // Mixed sorts: the packed form declines and the boxed one errors.
+        let mut values = sample_seqs(2);
+        values.extend([1, NULL_ELEM.0, 16].map(|e| Value::Elem(ElemId(e))));
+        values.extend([-1, 0, 7].map(Value::Int));
+        values.extend([false, true].map(Value::Bool));
+        for a in &values {
+            for b in &values {
+                assert_word_form(&eq, a, b, a);
+                for c in [false, true].map(Value::Bool) {
+                    assert_word_form(&ite, &c, a, b);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_forms_of_boolean_and_integer_ops_match_the_boxed_ops() {
+        let bools = [false, true].map(Value::Bool);
+        let ints = [i64::MIN, -3, -1, 0, 1, 2, i64::MAX].map(Value::Int);
+        assert_word_form(
+            &Instr::Not { out: 0, a: 0 },
+            &bools[0],
+            &bools[0],
+            &bools[0],
+        );
+        assert_word_form(
+            &Instr::Not { out: 0, a: 0 },
+            &bools[1],
+            &bools[1],
+            &bools[1],
+        );
+        for op in [Bool2::And, Bool2::Or, Bool2::Implies, Bool2::Iff] {
+            let instr = Instr::Bool2 {
+                op,
+                out: 0,
+                a: 0,
+                b: 0,
+            };
+            for a in &bools {
+                for b in &bools {
+                    assert_word_form(&instr, a, b, a);
+                }
+            }
+        }
+        for a in &ints {
+            assert_word_form(&Instr::Neg { out: 0, a: 0 }, a, a, a);
+            for op in [Int2::Add, Int2::Sub, Int2::Lt, Int2::Le] {
+                for b in &ints {
+                    assert_word_form(
+                        &Instr::Int2 {
+                            op,
+                            out: 0,
+                            a: 0,
+                            b: 0,
+                        },
+                        a,
+                        b,
+                        a,
+                    );
+                }
+            }
+        }
+    }
+
+    /// A block whose lanes mix packable and unpackable values — element
+    /// ids with no code, sequences longer than the capacity, and inserts
+    /// that overflow it — evaluates every lane exactly as the scalar
+    /// executor does, down to the reconstructed counter-model.
+    #[test]
+    fn mixed_packed_and_boxed_lanes_match_the_scalar_executor() {
+        let ob = Obligation::new("mixed")
+            .define(
+                "q2",
+                seq_insert_at(var_seq("q"), var_int("i"), var_elem("v")),
+            )
+            .define("r", seq_at(var_seq("q2"), var_int("i")))
+            .define("q3", seq_set_at(var_seq("q2"), int(0), var_elem("r")))
+            .define("same", eq(var_seq("q2"), var_seq("q3")))
+            .define(
+                "t",
+                ite(
+                    seq_contains(var_seq("q"), var_elem("v")),
+                    var_seq("q3"),
+                    seq_remove_at(var_seq("q"), var_int("i")),
+                ),
+            )
+            .define("first", seq_index_of(var_seq("t"), var_elem("r")))
+            .define("last", seq_last_index_of(var_seq("q3"), var_elem("v")))
+            .define(
+                "picked",
+                ite(var_bool("same"), var_elem("r"), var_elem("v")),
+            )
+            // Never true: every lane is a counterexample, so every lane
+            // executes every instruction and can be reconstructed.
+            .goal(lt(seq_len(var_seq("t")), int(-100)));
+        let order: Vec<String> = ["v", "q", "i"].iter().map(|s| s.to_string()).collect();
+        let program = Program::lower(&CompiledObligation::compile(&ob, &order));
+
+        let short = [1, 2, NULL_ELEM.0];
+        let full = [2; packed::SEQ_CAPACITY];
+        let over = [3; packed::SEQ_CAPACITY + 1];
+        let mut lanes = Vec::new();
+        for q in [&short[..], &full[..], &over[..], &[16, 1][..], &[][..]] {
+            for v in [1, 2, NULL_ELEM.0, 16, 0] {
+                for i in [-1, 0, 1, 15] {
+                    lanes.push(vec![Value::Elem(ElemId(v)), seq(q), Value::Int(i)]);
+                }
+            }
+        }
+        assert!(lanes.len() <= LANES);
+        let block = BlockBuf::from_lanes(1, &lanes);
+        let mut exec = program.block_exec();
+        assert!(matches!(
+            program.run_block(&block, &mut exec),
+            Some(BlockEvent::Counterexample(0))
+        ));
+        let boxed = exec.fallback_lanes() as usize;
+        assert!(boxed > 0 && boxed < lanes.len(), "{boxed} boxed lanes");
+
+        let mut scalar = program.scalar_exec();
+        for (lane, inputs) in lanes.iter().enumerate() {
+            assert_eq!(
+                program.check(&mut inputs.clone(), &mut scalar),
+                Ok(Some(()))
+            );
+            assert_eq!(
+                program.reconstruct_lane(&exec, lane),
+                program.reconstruct(&scalar),
+                "lane {lane}: {inputs:?}"
+            );
+        }
     }
 
     #[test]

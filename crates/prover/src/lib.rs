@@ -53,6 +53,7 @@ pub mod finite;
 pub mod hints;
 pub mod obligation;
 pub mod orbit;
+mod packed;
 pub mod portfolio;
 pub mod queue;
 pub mod scope;

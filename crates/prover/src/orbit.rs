@@ -27,17 +27,21 @@
 //! image becomes strictly smaller decides non-canonicality for *every*
 //! completion of that prefix, so the enumerator prunes the whole odometer
 //! subtree in one step (the crate-internal `OrbitTables::violation`
-//! check returns the deciding slot). With the candidate lists sorted by value, images are precomputed
-//! as index tables and the per-candidate check is a handful of integer
-//! comparisons.
+//! check returns the deciding slot). With the candidate lists sorted by
+//! value, images are precomputed as index tables — once per process, with
+//! the memoised list they index (see [`crate::space`]) — and the
+//! per-candidate check is a handful of integer comparisons.
 //!
 //! [`Scope::elem_padding`]: crate::scope::Scope::elem_padding
 //! [`Value`]: semcommute_logic::Value
 //! [`Value::map_elems`]: semcommute_logic::Value::map_elems
 
 use std::ops::Range;
+use std::sync::Arc;
 
-use semcommute_logic::{ElemId, Sort, Value};
+use semcommute_logic::{ElemId, Value};
+
+use crate::space::CandidateList;
 
 /// The permutable block of anonymous padding element ids for an element
 /// assignment whose largest named class is `max_named_class`, under
@@ -133,68 +137,62 @@ pub fn is_canonical(values: &[Value], block: Range<u32>) -> bool {
     true
 }
 
-/// Precomputed pruning tables for one element assignment of a
+/// The image tables of one candidate list sorted ascending by value:
+/// `tables[p][i]` is the index of the image of `list[i]` under the `p`-th
+/// non-identity permutation of `block`. Candidate lists are closed under the
+/// padding permutations because the bounds they enforce (cardinality,
+/// length) are permutation-invariant, so every image is found.
+pub(crate) fn image_tables(list: &[Value], block: Range<u32>) -> Vec<Vec<u32>> {
+    debug_assert!(list.is_sorted(), "collection candidates must be sorted");
+    block_permutations(block)
+        .iter()
+        .skip(1)
+        .map(|perm| {
+            list.iter()
+                .map(|v| {
+                    let index = list
+                        .binary_search(&perm.apply_value(v))
+                        .expect("candidate lists are closed under padding permutations");
+                    index as u32
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Pruning tables for one element assignment of a
 /// [`crate::space::SpaceIter`] odometer.
 ///
-/// Built against the iterator's candidate lists with every collection-valued
-/// list sorted ascending by value, so index order *is* value order and the
-/// canonicality check reduces to integer comparisons: the image of the
-/// candidate at index `i` of collection slot `k` under non-identity
-/// permutation `p` sits at index `image[p][k][i]` of the same (sorted) list
-/// — candidate lists are closed under the padding permutations because the
-/// bounds they enforce (cardinality, length) are permutation-invariant.
+/// Holds the memoised candidate lists of the collection-valued slots, each
+/// sorted ascending by value with its [`image_tables`], so index order *is*
+/// value order and the canonicality check reduces to integer comparisons:
+/// the image of the candidate at index `i` of a collection slot under
+/// non-identity permutation `p` sits at index `images()[p][i]` of the same
+/// list. All lists of one assignment share its padding block, so they have
+/// the same number of permutations.
 #[derive(Debug)]
 pub(crate) struct OrbitTables {
-    /// Odometer slot indices of the collection-valued variables, ascending.
-    slots: Vec<usize>,
-    /// `image[p][k][i]`: index of the permuted candidate (see type docs).
-    image: Vec<Vec<Vec<u32>>>,
+    /// Odometer slot index and list of each collection-valued variable,
+    /// ascending by slot.
+    slots: Vec<(usize, Arc<CandidateList>)>,
+    /// Number of non-identity permutations.
+    perms: usize,
 }
 
 impl OrbitTables {
-    /// Builds tables for `candidates` (one list per odometer slot, with the
-    /// collection-valued ones sorted ascending). Returns `None` when there
-    /// is nothing to reduce: a permutable block smaller than two, or no
-    /// collection-valued slot.
-    pub(crate) fn build(
-        candidates: &[Vec<Value>],
-        sorts: &[Sort],
-        block: Range<u32>,
-    ) -> Option<OrbitTables> {
-        if block.len() < 2 {
-            return None;
-        }
-        let slots: Vec<usize> = sorts
+    /// The tables over an odometer's lists. Returns `None` when there is
+    /// nothing to reduce: no list carries image tables (the lists are not
+    /// reduced, or no slot is collection-valued).
+    pub(crate) fn new(lists: &[Arc<CandidateList>]) -> Option<OrbitTables> {
+        let slots: Vec<(usize, Arc<CandidateList>)> = lists
             .iter()
             .enumerate()
-            .filter(|(_, s)| matches!(s, Sort::Set | Sort::Map | Sort::Seq))
-            .map(|(i, _)| i)
+            .filter(|(_, list)| !list.images().is_empty())
+            .map(|(slot, list)| (slot, list.clone()))
             .collect();
-        if slots.is_empty() {
-            return None;
-        }
-        let perms = block_permutations(block);
-        let image = perms[1..]
-            .iter()
-            .map(|perm| {
-                slots
-                    .iter()
-                    .map(|&slot| {
-                        let list = &candidates[slot];
-                        debug_assert!(list.is_sorted(), "collection candidates must be sorted");
-                        list.iter()
-                            .map(|v| {
-                                let index = list.binary_search(&perm.apply_value(v)).expect(
-                                    "candidate lists are closed under padding permutations",
-                                );
-                                index as u32
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        Some(OrbitTables { slots, image })
+        let perms = slots.first()?.1.images().len();
+        debug_assert!(slots.iter().all(|(_, l)| l.images().len() == perms));
+        Some(OrbitTables { slots, perms })
     }
 
     /// Checks the candidate tuple at `positions` (one index per odometer
@@ -204,17 +202,17 @@ impl OrbitTables {
     /// completion of the prefix up to and including that slot non-canonical.
     pub(crate) fn violation(&self, positions: &[usize]) -> Option<usize> {
         let mut deciding: Option<usize> = None;
-        for perm in &self.image {
-            for (k, &slot) in self.slots.iter().enumerate() {
-                if deciding.is_some_and(|d| slot >= d) {
+        for p in 0..self.perms {
+            for (slot, list) in &self.slots {
+                if deciding.is_some_and(|d| *slot >= d) {
                     // A violation at or before this slot is already known;
                     // this permutation can only decide later. Move on.
                     break;
                 }
-                let pos = positions[slot];
-                match (perm[k][pos] as usize).cmp(&pos) {
+                let pos = positions[*slot];
+                match (list.images()[p][pos] as usize).cmp(&pos) {
                     std::cmp::Ordering::Less => {
-                        deciding = Some(slot);
+                        deciding = Some(*slot);
                         break;
                     }
                     std::cmp::Ordering::Greater => break,
@@ -229,6 +227,9 @@ impl OrbitTables {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scope::Scope;
+    use crate::space::candidate_list;
+    use semcommute_logic::Sort;
 
     fn set(ids: &[u32]) -> Value {
         Value::set_of(ids.iter().map(|&i| ElemId(i)))
@@ -290,32 +291,54 @@ mod tests {
         assert!(!is_canonical(&[Value::Int(5), set(&[2])], 1..3));
     }
 
+    /// A scope whose padding block has two elements, so collection lists are
+    /// reduced; `int_min..=int_max` is `0..=1`.
+    fn scope() -> Scope {
+        Scope {
+            elem_padding: 2,
+            max_collection_entries: 3,
+            int_min: 0,
+            int_max: 1,
+            ..Scope::small()
+        }
+    }
+
+    fn sets(universe: usize) -> Arc<CandidateList> {
+        candidate_list(Sort::Set, universe, &scope(), true)
+    }
+
+    #[test]
+    fn image_tables_match_a_recomputation() {
+        let list = sets(3);
+        let block = padding_block(1, 2);
+        let perms = block_permutations(block);
+        assert_eq!(list.images().len(), perms.len() - 1);
+        for (table, perm) in list.images().iter().zip(&perms[1..]) {
+            for (i, v) in list.values().iter().enumerate() {
+                assert_eq!(list.values()[table[i] as usize], perm.apply_value(v));
+            }
+        }
+    }
+
     #[test]
     fn orbit_tables_agree_with_is_canonical_exhaustively() {
         // Two set slots and one int slot over universe {1, 2, 3} with block
         // {2, 3} (class 1 named): every position triple must be classified
         // exactly as the definitional check classifies its value tuple.
-        let block = 2u32..4;
-        let mut sets: Vec<Value> = vec![
-            set(&[]),
-            set(&[1]),
-            set(&[2]),
-            set(&[3]),
-            set(&[1, 2]),
-            set(&[1, 3]),
-            set(&[2, 3]),
-            set(&[1, 2, 3]),
-        ];
-        sets.sort();
-        let ints: Vec<Value> = (0..2).map(Value::Int).collect();
-        let candidates = vec![sets.clone(), ints.clone(), sets.clone()];
-        let sorts = [Sort::Set, Sort::Int, Sort::Set];
-        let tables = OrbitTables::build(&candidates, &sorts, block.clone()).unwrap();
+        let block = padding_block(1, 2);
+        let sets = sets(3);
+        let ints = candidate_list(Sort::Int, 3, &scope(), true);
+        assert_eq!(sets.len(), 8);
+        let tables = OrbitTables::new(&[sets.clone(), ints.clone(), sets.clone()]).unwrap();
         for a in 0..sets.len() {
-            for (b, int_value) in ints.iter().enumerate() {
+            for (b, int_value) in ints.values().iter().enumerate() {
                 for c in 0..sets.len() {
                     let positions = [a, b, c];
-                    let values = vec![sets[a].clone(), int_value.clone(), sets[c].clone()];
+                    let values = vec![
+                        sets.values()[a].clone(),
+                        int_value.clone(),
+                        sets.values()[c].clone(),
+                    ];
                     assert_eq!(
                         tables.violation(&positions).is_none(),
                         is_canonical(&values, block.clone()),
@@ -328,13 +351,11 @@ mod tests {
 
     #[test]
     fn violation_reports_the_smallest_deciding_slot() {
-        let block = 1u32..3;
-        let mut sets: Vec<Value> = vec![set(&[]), set(&[1]), set(&[2]), set(&[1, 2])];
-        sets.sort();
-        let candidates = vec![sets.clone(), sets.clone()];
-        let sorts = [Sort::Set, Sort::Set];
-        let tables = OrbitTables::build(&candidates, &sorts, block).unwrap();
-        let at = |v: &Value| sets.iter().position(|s| s == v).unwrap();
+        // Universe {1, 2}, both padding: the sorted list is
+        // [{}, {1}, {1, 2}, {2}].
+        let sets = sets(2);
+        let tables = OrbitTables::new(&[sets.clone(), sets.clone()]).unwrap();
+        let at = |v: &Value| sets.values().iter().position(|s| s == v).unwrap();
         // ({2}, {2}) is decided at slot 0 already: the swap sends it to
         // ({1}, {1}), strictly smaller in the first slot.
         assert_eq!(tables.violation(&[at(&set(&[2])), at(&set(&[2]))]), Some(0));
@@ -357,13 +378,9 @@ mod tests {
     /// decides at, so suffix digits cannot change the answer.
     #[test]
     fn violation_is_prefix_decided_for_mid_subtree_resumes() {
-        let block = 1u32..3;
-        let mut sets: Vec<Value> = vec![set(&[]), set(&[1]), set(&[2]), set(&[1, 2])];
-        sets.sort();
-        let candidates = vec![sets.clone(), sets.clone()];
-        let sorts = [Sort::Set, Sort::Set];
-        let tables = OrbitTables::build(&candidates, &sorts, block).unwrap();
-        let at = |v: &Value| sets.iter().position(|s| s == v).unwrap();
+        let sets = sets(2);
+        let tables = OrbitTables::new(&[sets.clone(), sets.clone()]).unwrap();
+        let at = |v: &Value| sets.values().iter().position(|s| s == v).unwrap();
         // ({2}, *) violates at slot 0 for every suffix digit.
         let j = at(&set(&[2]));
         for suffix in 0..sets.len() {
@@ -373,9 +390,13 @@ mod tests {
 
     #[test]
     fn trivial_blocks_and_scalar_spaces_build_no_tables() {
-        let sets = vec![set(&[]), set(&[1])];
-        assert!(OrbitTables::build(&[sets], &[Sort::Set], 1..2).is_none());
-        let ints: Vec<Value> = (0..3).map(Value::Int).collect();
-        assert!(OrbitTables::build(&[ints], &[Sort::Int], 1..3).is_none());
+        let one = Scope {
+            elem_padding: 1,
+            ..scope()
+        };
+        assert!(OrbitTables::new(&[candidate_list(Sort::Set, 2, &one, false)]).is_none());
+        assert!(OrbitTables::new(&[candidate_list(Sort::Set, 2, &scope(), false)]).is_none());
+        let ints = candidate_list(Sort::Int, 2, &scope(), true);
+        assert!(OrbitTables::new(&[ints]).is_none());
     }
 }

@@ -20,13 +20,23 @@
 //! pruned as soon as a prefix is provably non-canonical (see
 //! [`crate::orbit`]). The number of candidates skipped this way is reported
 //! through [`SpaceIter::orbits_pruned`].
+//!
+//! A candidate list depends only on the variable's sort, the universe size
+//! and the scope bounds, so each distinct list is built once per process
+//! and shared through a memo: every space, range task and
+//! [`InputSpace::estimated_size`] call reads the same list, already sorted
+//! and with its orbit image tables and packed sequence words (see
+//! [`crate::bytecode`]) precomputed.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
+use std::sync::{Arc, OnceLock, RwLock};
 
 use semcommute_logic::{ElemId, Model, PMap, PSeq, PSet, Sort, Value, NULL_ELEM};
 
 use crate::obligation::Obligation;
-use crate::orbit::{padding_block, OrbitTables};
+use crate::orbit::{image_tables, padding_block, OrbitTables};
+use crate::packed::pack_seq;
 use crate::scope::Scope;
 
 /// The search space of candidate models for one obligation.
@@ -130,68 +140,29 @@ impl InputSpace {
             .unwrap_or(0)
     }
 
-    /// The collection universe for a given element assignment: the classes
-    /// used by the assignment plus `elem_padding` anonymous elements.
-    fn universe(&self, assignment: &[ElemId]) -> Vec<ElemId> {
-        let total = InputSpace::max_class(assignment) as usize + self.scope.elem_padding;
-        (1..=total as u32).map(ElemId).collect()
+    /// The size of the collection universe for a given element assignment:
+    /// the classes used by the assignment plus `elem_padding` anonymous
+    /// elements. The universe itself is always `1..=size`.
+    fn universe_len(&self, assignment: &[ElemId]) -> usize {
+        InputSpace::max_class(assignment) as usize + self.scope.elem_padding
     }
 
-    /// Candidate values for a non-element variable over a given universe.
-    fn candidates(&self, sort: Sort, universe: &[ElemId]) -> Vec<Value> {
-        match sort {
-            Sort::Bool => vec![Value::Bool(false), Value::Bool(true)],
-            Sort::Int => (self.scope.int_min..=self.scope.int_max)
-                .map(Value::Int)
-                .collect(),
-            Sort::Elem => universe
-                .iter()
-                .map(|&e| Value::Elem(e))
-                .chain(std::iter::once(Value::Elem(NULL_ELEM)))
-                .collect(),
-            Sort::Set => subsets_up_to(universe, self.scope.max_collection_entries)
-                .into_iter()
-                .map(Value::Set)
-                .collect(),
-            Sort::Map => {
-                let mut out = Vec::new();
-                for keys in subsets_up_to(universe, self.scope.max_collection_entries) {
-                    let mut partial: Vec<PMap> = vec![PMap::new()];
-                    for k in keys.iter() {
-                        let mut next = Vec::new();
-                        for m in &partial {
-                            for &v in universe {
-                                // Shared prefix + one delta: the clone is an
-                                // O(1) handle copy, the insert copies once.
-                                let mut m2 = m.clone();
-                                m2.insert(*k, v);
-                                next.push(m2);
-                            }
-                        }
-                        partial = next;
-                    }
-                    out.extend(partial.into_iter().map(Value::Map));
-                }
-                out
-            }
-            Sort::Seq => {
-                let mut out: Vec<PSeq> = vec![PSeq::new()];
-                let mut frontier: Vec<PSeq> = vec![PSeq::new()];
-                for _ in 0..self.scope.max_seq_len {
-                    let mut next = Vec::new();
-                    for s in &frontier {
-                        for &e in universe {
-                            let mut s2 = s.clone();
-                            s2.push(e);
-                            next.push(s2);
-                        }
-                    }
-                    out.extend(next.iter().cloned());
-                    frontier = next;
-                }
-                out.into_iter().map(Value::Seq).collect()
-            }
-        }
+    /// Whether the candidate lists of this space are orbit-reduced: sorted,
+    /// with image tables. Only done when a reduction can actually happen: a
+    /// padding block of at least two elements. With a trivial block the
+    /// enumeration order stays byte-identical to orbit-off.
+    fn reduced(&self) -> bool {
+        self.scope.orbit && self.scope.elem_padding >= 2
+    }
+
+    /// The memoised candidate lists of the non-element variables under one
+    /// element assignment, in odometer slot order.
+    fn lists(&self, assignment: &[ElemId]) -> Vec<Arc<CandidateList>> {
+        let universe = self.universe_len(assignment);
+        self.other_vars
+            .iter()
+            .map(|(_, sort)| candidate_list(*sort, universe, &self.scope, self.reduced()))
+            .collect()
     }
 
     /// An estimate of the number of candidate models (used for reporting and
@@ -202,10 +173,9 @@ impl InputSpace {
     pub fn estimated_size(&self) -> u128 {
         let mut total: u128 = 0;
         for assignment in self.elem_assignments() {
-            let universe = self.universe(&assignment);
             let mut per: u128 = 1;
-            for (_, sort) in &self.other_vars {
-                per = per.saturating_mul(self.candidates(*sort, &universe).len() as u128);
+            for list in self.lists(&assignment) {
+                per = per.saturating_mul(list.len() as u128);
             }
             total = total.saturating_add(per);
         }
@@ -261,6 +231,193 @@ fn subsets_up_to(universe: &[ElemId], max_len: usize) -> Vec<PSet> {
     out
 }
 
+/// Candidate values for a non-element variable over the universe
+/// `1..=universe`, in generation order.
+fn generate(sort: Sort, universe: usize, scope: &Scope) -> Vec<Value> {
+    let universe: Vec<ElemId> = (1..=universe as u32).map(ElemId).collect();
+    match sort {
+        Sort::Bool => vec![Value::Bool(false), Value::Bool(true)],
+        Sort::Int => (scope.int_min..=scope.int_max).map(Value::Int).collect(),
+        Sort::Elem => universe
+            .iter()
+            .map(|&e| Value::Elem(e))
+            .chain(std::iter::once(Value::Elem(NULL_ELEM)))
+            .collect(),
+        Sort::Set => subsets_up_to(&universe, scope.max_collection_entries)
+            .into_iter()
+            .map(Value::Set)
+            .collect(),
+        Sort::Map => {
+            let mut out = Vec::new();
+            for keys in subsets_up_to(&universe, scope.max_collection_entries) {
+                let mut partial: Vec<PMap> = vec![PMap::new()];
+                for k in keys.iter() {
+                    let mut next = Vec::new();
+                    for m in &partial {
+                        for &v in &universe {
+                            // Shared prefix + one delta: the clone is an
+                            // O(1) handle copy, the insert copies once.
+                            let mut m2 = m.clone();
+                            m2.insert(*k, v);
+                            next.push(m2);
+                        }
+                    }
+                    partial = next;
+                }
+                out.extend(partial.into_iter().map(Value::Map));
+            }
+            out
+        }
+        Sort::Seq => {
+            let mut out: Vec<PSeq> = vec![PSeq::new()];
+            let mut frontier: Vec<PSeq> = vec![PSeq::new()];
+            for _ in 0..scope.max_seq_len {
+                let mut next = Vec::new();
+                for s in &frontier {
+                    for &e in &universe {
+                        let mut s2 = s.clone();
+                        s2.push(e);
+                        next.push(s2);
+                    }
+                }
+                out.extend(next.iter().cloned());
+                frontier = next;
+            }
+            out.into_iter().map(Value::Seq).collect()
+        }
+    }
+}
+
+/// Everything a candidate list depends on. Every list is a pure function of
+/// its key, so one process-wide memo serves every space, search and range
+/// task: the memo holds at most one entry per (sort, universe size, scope);
+/// the full catalog, over its two scopes, builds 15.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct ListKey {
+    sort: Sort,
+    universe: usize,
+    elem_padding: usize,
+    max_collection_entries: usize,
+    max_seq_len: usize,
+    int_min: i64,
+    int_max: i64,
+    /// Orbit-reduced: collection lists sorted, with image tables.
+    reduced: bool,
+}
+
+/// The candidate values of one non-element variable under one universe
+/// size and scope, built once per process by [`candidate_list`].
+#[derive(Debug)]
+pub(crate) struct CandidateList {
+    sort: Sort,
+    /// The candidates, in enumeration order: generation order, or ascending
+    /// by value when the list is orbit-reduced and collection-valued (so
+    /// index order is value order, see [`crate::orbit`]).
+    values: Vec<Value>,
+    /// Each candidate's packed word ([`crate::packed`]), for sequence lists;
+    /// `None` where a sequence does not fit. Empty for other sorts.
+    packed: Vec<Option<u64>>,
+    /// `images[p][i]`: index of the image of candidate `i` under the `p`-th
+    /// non-identity padding permutation. Empty unless the list is reduced
+    /// and collection-valued.
+    images: Vec<Vec<u32>>,
+}
+
+impl CandidateList {
+    fn build(key: ListKey, scope: &Scope) -> CandidateList {
+        let mut values = generate(key.sort, key.universe, scope);
+        let collection = matches!(key.sort, Sort::Set | Sort::Map | Sort::Seq);
+        let mut images = Vec::new();
+        if key.reduced && collection {
+            values.sort();
+            let named = (key.universe - key.elem_padding) as u32;
+            images = image_tables(&values, padding_block(named, key.elem_padding));
+        }
+        CandidateList::new(key.sort, values, images)
+    }
+
+    fn new(sort: Sort, values: Vec<Value>, images: Vec<Vec<u32>>) -> CandidateList {
+        let packed = match sort {
+            Sort::Seq => values
+                .iter()
+                .map(|v| match v {
+                    Value::Seq(s) => pack_seq(s),
+                    _ => None,
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
+        CandidateList {
+            sort,
+            values,
+            packed,
+            images,
+        }
+    }
+
+    /// The variable's sort.
+    pub(crate) fn sort(&self) -> Sort {
+        self.sort
+    }
+
+    /// Number of candidates.
+    pub(crate) fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// The candidates in enumeration order.
+    pub(crate) fn values(&self) -> &[Value] {
+        &self.values
+    }
+
+    /// The packed word of candidate `i`, when it is a sequence that fits.
+    pub(crate) fn packed(&self, i: usize) -> Option<u64> {
+        self.packed.get(i).copied().flatten()
+    }
+
+    /// The orbit image tables (see the field docs); empty when the list is
+    /// not reduced.
+    pub(crate) fn images(&self) -> &[Vec<u32>] {
+        &self.images
+    }
+}
+
+/// The memoised candidate list of `sort` over the universe `1..=universe`
+/// under `scope`, sorted with image tables when `reduced`. Built on first
+/// use and shared by the whole process afterwards. Two threads that miss
+/// on the same key both build it; the first to publish wins and both
+/// return that entry.
+pub(crate) fn candidate_list(
+    sort: Sort,
+    universe: usize,
+    scope: &Scope,
+    reduced: bool,
+) -> Arc<CandidateList> {
+    static MEMO: OnceLock<RwLock<HashMap<ListKey, Arc<CandidateList>>>> = OnceLock::new();
+    let key = ListKey {
+        sort,
+        universe,
+        elem_padding: scope.elem_padding,
+        max_collection_entries: scope.max_collection_entries,
+        max_seq_len: scope.max_seq_len,
+        int_min: scope.int_min,
+        int_max: scope.int_max,
+        reduced,
+    };
+    let memo = MEMO.get_or_init(Default::default);
+    // A poisoned lock still guards a valid map: the only write inserts one
+    // fully built list, so recovering the guard is safe.
+    if let Some(list) = memo.read().unwrap_or_else(|e| e.into_inner()).get(&key) {
+        return list.clone();
+    }
+    let built = Arc::new(CandidateList::build(key, scope));
+    memo.write()
+        .unwrap_or_else(|e| e.into_inner())
+        .entry(key)
+        .or_insert(built)
+        .clone()
+}
+
 /// Iterator over the candidate models of an [`InputSpace`].
 ///
 /// With [`Scope::orbit`] set, the iterator emits only orbit-canonical
@@ -286,10 +443,10 @@ pub struct SpaceIter<'a> {
     space: &'a InputSpace,
     elem_assignments: Vec<Vec<ElemId>>,
     elem_index: usize,
-    /// Candidate values for each non-element variable under the current
-    /// element assignment. In orbit mode the collection-valued lists are
-    /// sorted ascending, so index order is value order.
-    candidates: Vec<Vec<Value>>,
+    /// The memoised candidate list of each non-element variable under the
+    /// current element assignment. In orbit mode the collection-valued
+    /// lists are sorted ascending, so index order is value order.
+    candidates: Vec<Arc<CandidateList>>,
     /// Odometer positions into `candidates`.
     positions: Vec<usize>,
     exhausted_current: bool,
@@ -438,13 +595,13 @@ impl<'a> SpaceIter<'a> {
             buf.push(Value::Elem(*v));
         }
         for (cands, &pos) in self.candidates.iter().zip(&self.positions) {
-            buf.push(cands[pos].clone());
+            buf.push(cands.values()[pos].clone());
         }
         self.advance();
         true
     }
 
-    /// Materializes up to `max` candidates into `out` (clearing it first) and
+    /// Fills `out` (clearing it first) with up to `max` candidates and
     /// returns how many were emitted — the block-mode counterpart of
     /// [`SpaceIter::next_values`], used by the bytecode backend's batched
     /// driver.
@@ -456,20 +613,37 @@ impl<'a> SpaceIter<'a> {
     /// any prune-ahead past it) in [`BlockBuf::pruned_after`] — the two
     /// numbers a driver that stops at lane `k`'s deciding event needs to
     /// report counters identical to the sequential scan.
+    ///
+    /// The block records candidate-list indices, not values: lanes that
+    /// share an element assignment share one segment holding that
+    /// assignment and its memoised lists, so filling a block clones no
+    /// value.
     pub fn next_block(&mut self, max: usize, out: &mut BlockBuf) -> usize {
-        out.values.clear();
+        out.segments.clear();
+        out.picks.clear();
         out.positions.clear();
         out.pruned_after.clear();
-        out.width = self.space.elem_vars.len() + self.space.other_vars.len();
+        out.elem_width = self.space.elem_vars.len();
+        out.width = out.elem_width + self.space.other_vars.len();
         let mut lanes = 0;
         while lanes < max && !self.exhausted() {
+            if out
+                .segments
+                .last()
+                .is_none_or(|s| s.elem_index != self.elem_index)
+            {
+                out.segments.push(Segment {
+                    start: lanes,
+                    elem_index: self.elem_index,
+                    elems: self.elem_assignments[self.elem_index]
+                        .iter()
+                        .map(|&e| Value::Elem(e))
+                        .collect(),
+                    lists: self.candidates.clone(),
+                });
+            }
             out.positions.push(self.upos);
-            for v in &self.elem_assignments[self.elem_index] {
-                out.values.push(Value::Elem(*v));
-            }
-            for (cands, &pos) in self.candidates.iter().zip(&self.positions) {
-                out.values.push(cands[pos].clone());
-            }
+            out.picks.extend(self.positions.iter().map(|&p| p as u32));
             self.advance();
             out.pruned_after.push(self.orbits_pruned);
             lanes += 1;
@@ -481,36 +655,10 @@ impl<'a> SpaceIter<'a> {
         if self.elem_index >= self.elem_assignments.len() {
             return;
         }
-        let assignment = &self.elem_assignments[self.elem_index];
-        let universe = self.space.universe(assignment);
-        self.candidates = self
-            .space
-            .other_vars
-            .iter()
-            .map(|(_, sort)| self.space.candidates(*sort, &universe))
-            .collect();
-        self.orbit = None;
-        if self.space.scope.orbit {
-            let sorts: Vec<Sort> = self.space.other_vars.iter().map(|(_, s)| *s).collect();
-            let block = padding_block(
-                InputSpace::max_class(assignment),
-                self.space.scope.elem_padding,
-            );
-            if block.len() >= 2 {
-                // Sort the collection-valued candidate lists so the orbit
-                // tables can compare candidates by index. Only done when a
-                // reduction can actually happen: with a trivial block the
-                // enumeration order stays byte-identical to orbit-off.
-                for (list, sort) in self.candidates.iter_mut().zip(&sorts) {
-                    if matches!(sort, Sort::Set | Sort::Map | Sort::Seq) {
-                        list.sort();
-                    }
-                }
-                self.orbit = OrbitTables::build(&self.candidates, &sorts, block);
-            }
-        }
+        self.candidates = self.space.lists(&self.elem_assignments[self.elem_index]);
+        self.orbit = OrbitTables::new(&self.candidates);
         self.positions = vec![0; self.candidates.len()];
-        self.exhausted_current = self.candidates.iter().any(|c| c.is_empty());
+        self.exhausted_current = self.candidates.iter().any(|c| c.len() == 0);
     }
 
     fn current_model(&self) -> Model {
@@ -525,7 +673,7 @@ impl<'a> SpaceIter<'a> {
             .iter()
             .zip(self.candidates.iter().zip(&self.positions))
         {
-            m.insert(name.clone(), cands[pos].clone());
+            m.insert(name.clone(), cands.values()[pos].clone());
         }
         m
     }
@@ -594,15 +742,17 @@ impl<'a> SpaceIter<'a> {
     }
 }
 
-/// A reusable block of materialized candidates, filled by
-/// [`SpaceIter::next_block`]: lane-major slot values plus each lane's
-/// unreduced position and post-advance pruned-count snapshot.
+/// A reusable block of candidates, filled by [`SpaceIter::next_block`]:
+/// each lane's candidate-list indices, unreduced position and post-advance
+/// pruned-count snapshot.
 #[derive(Debug, Default)]
 pub struct BlockBuf {
-    /// Lane-major values: lane `k`'s slot vector occupies
-    /// `values[k * width .. (k + 1) * width]`, in [`InputSpace::var_order`]
+    /// One entry per run of lanes that share an element assignment, in lane
     /// order.
-    values: Vec<Value>,
+    segments: Vec<Segment>,
+    /// Lane-major candidate-list indices of the non-element variables: lane
+    /// `k`'s occupy `picks[k * n .. (k + 1) * n]`, `n = width - elem_width`.
+    picks: Vec<u32>,
     /// Unreduced position of each lane's candidate.
     positions: Vec<u64>,
     /// Cumulative [`SpaceIter::orbits_pruned`] snapshot taken right after
@@ -613,6 +763,20 @@ pub struct BlockBuf {
     pruned_after: Vec<u64>,
     /// Number of input variables per lane.
     width: usize,
+    /// Number of element variables per lane (the leading variables).
+    elem_width: usize,
+}
+
+/// The lanes of a block that share one element assignment.
+#[derive(Debug)]
+struct Segment {
+    /// First lane of the run.
+    start: usize,
+    elem_index: usize,
+    /// The element variables' values.
+    elems: Vec<Value>,
+    /// The non-element variables' candidate lists.
+    lists: Vec<Arc<CandidateList>>,
 }
 
 impl BlockBuf {
@@ -634,7 +798,106 @@ impl BlockBuf {
 
     /// The value of input variable `var` at lane `lane`.
     pub fn value(&self, lane: usize, var: usize) -> &Value {
-        &self.values[lane * self.width + var]
+        let s = self.segments.partition_point(|seg| seg.start <= lane) - 1;
+        let segment = &self.segments[s];
+        match var.checked_sub(self.elem_width) {
+            None => &segment.elems[var],
+            Some(k) => &segment.lists[k].values()[self.pick(lane, k)],
+        }
+    }
+
+    /// The candidate-list index of non-element variable `k` at lane `lane`.
+    fn pick(&self, lane: usize, k: usize) -> usize {
+        self.picks[lane * (self.width - self.elem_width) + k] as usize
+    }
+
+    /// The lanes of segment `s`.
+    fn run(&self, s: usize) -> Range<usize> {
+        let end = self
+            .segments
+            .get(s + 1)
+            .map_or(self.lanes(), |next| next.start);
+        self.segments[s].start..end
+    }
+
+    /// The sort of input variable `var`.
+    pub(crate) fn sort(&self, var: usize) -> Sort {
+        match var.checked_sub(self.elem_width) {
+            None => Sort::Elem,
+            Some(k) => self.segments[0].lists[k].sort(),
+        }
+    }
+
+    /// Whether every lane holds the same value of `var` as lane 0.
+    pub(crate) fn is_uniform(&self, var: usize) -> bool {
+        let first = self.value(0, var);
+        let Some(k) = var.checked_sub(self.elem_width) else {
+            return self.segments.iter().all(|seg| seg.elems[var] == *first);
+        };
+        let (first_list, first_pick) = (&self.segments[0].lists[k], self.pick(0, k));
+        (0..self.segments.len()).all(|s| {
+            let list = &self.segments[s].lists[k];
+            let same_list = Arc::ptr_eq(list, first_list);
+            self.run(s).all(|lane| {
+                let i = self.pick(lane, k);
+                (same_list && i == first_pick) || list.values()[i] == *first
+            })
+        })
+    }
+
+    /// Calls `f(lane, id)` for every lane of element variable `var`, with
+    /// the lane's raw element id.
+    pub(crate) fn for_each_elem(&self, var: usize, mut f: impl FnMut(usize, u32)) {
+        for (s, segment) in self.segments.iter().enumerate() {
+            let Value::Elem(e) = segment.elems[var] else {
+                unreachable!("element variables hold elements")
+            };
+            self.run(s).for_each(|lane| f(lane, e.0));
+        }
+    }
+
+    /// Calls `f(lane, list, index)` for every lane of non-element variable
+    /// `var`: the lane's value is `list.values()[index]`.
+    pub(crate) fn for_each_listed(
+        &self,
+        var: usize,
+        mut f: impl FnMut(usize, &CandidateList, usize),
+    ) {
+        let k = var - self.elem_width;
+        for (s, segment) in self.segments.iter().enumerate() {
+            let list = &segment.lists[k];
+            self.run(s)
+                .for_each(|lane| f(lane, list, self.pick(lane, k)));
+        }
+    }
+
+    /// A block holding exactly the given lanes (each a value vector in
+    /// [`InputSpace::var_order`] order, element variables first), as if
+    /// enumerated — for executor tests that need values no scope enumerates.
+    #[cfg(test)]
+    pub(crate) fn from_lanes(elem_width: usize, lanes: &[Vec<Value>]) -> BlockBuf {
+        let mut out = BlockBuf {
+            elem_width,
+            width: lanes[0].len(),
+            ..BlockBuf::default()
+        };
+        for (lane, values) in lanes.iter().enumerate() {
+            let lists = values[elem_width..]
+                .iter()
+                .map(|v| Arc::new(CandidateList::new(v.sort(), vec![v.clone()], Vec::new())))
+                .collect();
+            out.segments.push(Segment {
+                start: lane,
+                elem_index: lane,
+                elems: values[..elem_width].to_vec(),
+                lists,
+            });
+            out.picks
+                .extend(std::iter::repeat_n(0, out.width - elem_width));
+            out.positions.push(lane as u64);
+            out.pruned_after.push(0);
+        }
+        out
     }
 
     /// The unreduced position of lane `lane`'s candidate.
@@ -966,6 +1229,120 @@ mod tests {
         // A range past the end of the space is empty, not an error.
         assert_eq!(space.range_iter(2, 100).count(), 0);
         assert_eq!(space.range_iter(0, 2).count(), 2);
+    }
+
+    /// The catalog's scopes (`core::verify::scope_for`: the ArrayList
+    /// scope at the default length 4, and the counter/set/map scope) plus
+    /// the two named test scopes.
+    fn memo_scopes() -> Vec<Scope> {
+        let catalog = Scope {
+            elem_padding: 1,
+            max_collection_entries: 3,
+            max_seq_len: 1,
+            int_min: -2,
+            int_max: 4,
+            ..Scope::standard()
+        };
+        vec![
+            Scope::sequences(4),
+            catalog,
+            Scope::small(),
+            Scope::standard(),
+        ]
+    }
+
+    #[test]
+    fn memoised_lists_equal_fresh_generation() {
+        use crate::orbit::block_permutations;
+        // Up to four named element classes: no catalog obligation has more
+        // element variables than that.
+        for scope in memo_scopes() {
+            for named in 0..=4 {
+                let universe = named + scope.elem_padding;
+                for sort in [Sort::Bool, Sort::Int, Sort::Set, Sort::Map, Sort::Seq] {
+                    for reduced in [false, true] {
+                        let list = candidate_list(sort, universe, &scope, reduced);
+                        let mut fresh = generate(sort, universe, &scope);
+                        let collection = matches!(sort, Sort::Set | Sort::Map | Sort::Seq);
+                        if reduced && collection {
+                            fresh.sort();
+                        }
+                        let context = format!("{scope:?} {sort} universe {universe} {reduced}");
+                        assert_eq!(list.values(), &fresh[..], "{context}");
+                        assert_eq!(list.sort(), sort);
+                        for (i, v) in fresh.iter().enumerate() {
+                            let expected = match v {
+                                Value::Seq(s) => pack_seq(s),
+                                _ => None,
+                            };
+                            assert_eq!(list.packed(i), expected, "{context}");
+                        }
+                        if !(reduced && collection) || scope.elem_padding < 2 {
+                            assert!(list.images().is_empty(), "{context}");
+                            continue;
+                        }
+                        let block = padding_block(named as u32, scope.elem_padding);
+                        let perms = block_permutations(block);
+                        assert_eq!(list.images().len(), perms.len() - 1, "{context}");
+                        for (table, perm) in list.images().iter().zip(&perms[1..]) {
+                            for (i, v) in fresh.iter().enumerate() {
+                                let image = fresh.binary_search(&perm.apply_value(v)).unwrap();
+                                assert_eq!(table[i] as usize, image, "{context}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn racing_threads_fill_a_cold_key_with_equal_lists() {
+        // A scope no other test uses, so the key is cold.
+        let scope = Scope {
+            int_max: 1_001,
+            max_seq_len: 2,
+            ..Scope::standard()
+        };
+        let barrier = std::sync::Barrier::new(2);
+        let [a, b] = std::thread::scope(|s| {
+            let race = || {
+                barrier.wait();
+                candidate_list(Sort::Seq, 4, &scope, true)
+            };
+            let first = s.spawn(race);
+            let second = s.spawn(race);
+            [first.join().unwrap(), second.join().unwrap()]
+        });
+        assert_eq!(a.values(), b.values());
+        assert_eq!(a.images(), b.images());
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "both threads return the published entry"
+        );
+    }
+
+    #[test]
+    fn the_memo_key_separates_scopes_that_differ_in_one_bound() {
+        let base = Scope::small();
+        let wider_ints = Scope {
+            int_max: base.int_max + 1,
+            ..base.clone()
+        };
+        let longer_seqs = Scope {
+            max_seq_len: base.max_seq_len + 1,
+            ..base.clone()
+        };
+        let ints = candidate_list(Sort::Int, 2, &base, false);
+        assert_ne!(
+            ints.values(),
+            candidate_list(Sort::Int, 2, &wider_ints, false).values()
+        );
+        let seqs = candidate_list(Sort::Seq, 2, &base, false);
+        assert_ne!(
+            seqs.values(),
+            candidate_list(Sort::Seq, 2, &longer_seqs, false).values()
+        );
     }
 
     #[test]

@@ -54,9 +54,10 @@ pub struct ProofStats {
     /// (zero under the tree-walk evaluator). Each block evaluates up to 256
     /// candidate models column-wise.
     pub batches: u64,
-    /// Number of candidate lanes the batched evaluator re-ran through the
-    /// per-candidate scalar path (collection-valued registers, mixed-sort
-    /// columns, or error recovery). Always at most `256 * batches`.
+    /// Number of candidate lanes on which the batched evaluator ran at least
+    /// one instruction on boxed `Value`s (set and map operations, mixed-sort
+    /// columns, sequences that do not fit a packed word). Always at most
+    /// `256 * batches`.
     pub batch_fallbacks: u64,
     /// Total bytecode instructions executed across all active lanes, summed
     /// over blocks. Divided by `models_checked` this gives the effective
