@@ -11,7 +11,9 @@ use proptest::strategy::BoxedStrategy;
 
 use semcommute_logic::build::*;
 use semcommute_logic::eval::MAX_QUANTIFIER_RANGE;
-use semcommute_logic::{Model, Term};
+use std::collections::HashMap;
+
+use semcommute_logic::{eval, free_vars, Model, Term, Value};
 use semcommute_prover::bytecode::{BlockEvent, Program, LANES};
 use semcommute_prover::compiled::CompiledObligation;
 use semcommute_prover::space::{BlockBuf, InputSpace};
@@ -205,6 +207,69 @@ fn tree_scan(space: &InputSpace, compiled: &CompiledObligation) -> Outcome {
     Outcome::Exhausted(seen)
 }
 
+/// Evaluates one candidate with the reference evaluator `logic::eval`:
+/// defines, hypotheses and the goal in the compiled step order (each
+/// hypothesis right after the last define it reads), with the compiled
+/// executors' error wrapping. Hypotheses keep their relative order: one
+/// waiting for a later define holds back those after it. `Ok(None)` when the candidate is not a
+/// counterexample, `Ok(Some(model))` with the inputs and defines when it is.
+fn reference_check(ob: &Obligation, mut model: Model) -> Result<Option<Model>, String> {
+    let position: HashMap<&str, usize> = ob
+        .defines
+        .iter()
+        .enumerate()
+        .map(|(i, (name, _))| (name.as_str(), i))
+        .collect();
+    let hypotheses: Vec<(Option<usize>, &Term)> = ob
+        .hypotheses
+        .iter()
+        .map(|h| {
+            let latest = free_vars(h)
+                .keys()
+                .filter_map(|name| position.get(name.as_str()).copied())
+                .max();
+            (latest, h)
+        })
+        .collect();
+    let boolean = |v: Value, context: &str| match v {
+        Value::Bool(b) => Ok(b),
+        other => Err(format!("{context}: expected bool, found {}", other.sort())),
+    };
+    let mut pending = hypotheses.into_iter().peekable();
+    for step in 0..=ob.defines.len() {
+        let after = step.checked_sub(1);
+        while let Some((_, h)) = pending.next_if(|(latest, _)| *latest <= after) {
+            let value = eval(h, &model).map_err(|e| format!("evaluating hypothesis: {e}"))?;
+            if !boolean(value, "evaluating hypothesis")? {
+                return Ok(None);
+            }
+        }
+        if let Some((name, term)) = ob.defines.get(step) {
+            let value = eval(term, &model).map_err(|e| format!("evaluating `{name}`: {e}"))?;
+            model.insert(name.clone(), value);
+        }
+    }
+    let value = eval(&ob.goal, &model).map_err(|e| format!("evaluating goal: {e}"))?;
+    Ok((!boolean(value, "evaluating goal")?).then_some(model))
+}
+
+/// The reference scan: `logic::eval`, candidate by candidate.
+fn reference_scan(space: &InputSpace, ob: &Obligation) -> Outcome {
+    let order = space.var_order();
+    let mut it = space.iter();
+    let mut buf = Vec::new();
+    let mut seen = 0u64;
+    while it.next_values(&mut buf) {
+        let model = Model::from_bindings(order.iter().cloned().zip(buf.drain(..)));
+        match reference_check(ob, model) {
+            Ok(None) => seen += 1,
+            Ok(Some(model)) => return Outcome::Cex(seen, model),
+            Err(e) => return Outcome::Error(seen, e),
+        }
+    }
+    Outcome::Exhausted(seen)
+}
+
 /// The scalar bytecode scan, candidate by candidate.
 fn scalar_scan(space: &InputSpace, program: &Program) -> Outcome {
     let mut it = space.iter();
@@ -256,6 +321,15 @@ proptest! {
         let compiled = CompiledObligation::compile(&ob, &space.var_order());
         let program = Program::lower(&compiled);
         prop_assert_eq!(tree_scan(&space, &compiled), scalar_scan(&space, &program));
+    }
+
+    /// The tree walk and `logic::eval` report the same deciding event.
+    #[test]
+    fn tree_walk_matches_the_reference_evaluator(ob in obligation(), orbit in proptest::bool::ANY) {
+        let space = InputSpace::from_obligation(&ob, tiny_scope(orbit));
+        prop_assume!(space.estimated_size() <= 2_000);
+        let compiled = CompiledObligation::compile(&ob, &space.var_order());
+        prop_assert_eq!(tree_scan(&space, &compiled), reference_scan(&space, &ob));
     }
 
     /// Batch boundaries never change the deciding event: the block executor
