@@ -17,23 +17,7 @@
 //! engine runs a reduced operation count (it is quadratic in practice) and
 //! is compared on *per-committed-operation* time.
 //!
-//! A fourth axis isolates the **admission backend** (`--admit`): compiled
-//! register programs ([`AdmitBackend::Bytecode`]) versus the `Model`-building
-//! interpreter ([`AdmitBackend::Interp`]). At a single thread the log would
-//! normally be empty when each transaction runs, so the admission legs pin a
-//! few background transactions open for the whole measured run — their logged
-//! entries are what every workload operation must be admitted against, which
-//! puts admission itself on the critical path: the lock-free pre-screen and
-//! the complete pass under the structure lock, which checks every pinned
-//! entry again (re-anchoring the state-reading conditions). The pinned
-//! scripts include `contains` probes on hot prefilled keys so the skewed
-//! workload also produces genuine conflict verdicts, and a small prefill
-//! keeps copy-on-write detach cost from swamping the admission cost being
-//! compared. Both backends run the identical deterministic workload; their
-//! commit/abort/conflict counts must be identical (the diff harnesses prove
-//! the verdicts agree) so the wall-time ratio *is* the per-op ratio.
-//!
-//! A fifth axis is the **snapshot-heavy leg** (PR 9): transactions whose
+//! A fourth axis is the **snapshot-heavy leg** (PR 9): transactions whose
 //! operations require a pre-state projection retain a clone of the tracked
 //! mirror in every published log entry, so the next mirror mutation pays the
 //! representation's detach cost. Under the old flat (eager) collections that
@@ -53,7 +37,7 @@
 //!   on a large prefilled set driving transactions whose `size` probes
 //!   require pre-state projections interleaved with hot-key mutations.
 //!
-//! A sixth axis is the **contention-management leg family** (PR 10), which
+//! A fifth axis is the **contention-management leg family** (PR 10), which
 //! measures the abort-rate-driven coarse-lock fallback
 //! ([`semcommute_runtime::contention`]) from both sides:
 //!
@@ -72,16 +56,13 @@
 //!   the noise (per-op parity within 10% at threads=1).
 //!
 //! Usage: `runtime_perf [--ops N] [--prefill N] [--seed-ops N]
-//! [--admit bytecode|interp|both|off] [--snap-ops N] [--snap-prefill N]
-//! [--json PATH]`.
+//! [--snap-ops N] [--snap-prefill N] [--json PATH]`.
 //! With the defaults the speculative and coarse legs together drive several
 //! million mixed operations across the configurations. Emits the
 //! measurements as JSON
 //! (`BENCH_pr10.json` in CI) with an `acceptance` section recording the
 //! single-core criterion: speculative per-op overhead at threads=1 must be
-//! ≥ 5× lower than the seed engine's — when both admission backends
-//! run, compiled admission must be at most 0.5× the interpreter's per-op
-//! time with identical counts — the tree representation must beat the
+//! ≥ 5× lower than the seed engine's — the tree representation must beat the
 //! flat mirror's per-op snapshot-loop cost by ≥ 2× with identical final
 //! contents — and under forced contention the adaptive runtime must land
 //! near the coarse baseline's per-op cost while the non-adaptive runtime
@@ -95,10 +76,9 @@ use std::time::Instant;
 use semcommute_bench::seed_runtime::SeedRuntime;
 use semcommute_logic::{ElemId, PSet, Value};
 use semcommute_runtime::{
-    AdmissionError, AdmitBackend, AnyStructure, CoarseLockRuntime, CommutativityGatekeeper,
-    FallbackOptions, FaultPlan, LogEntry, RuntimeOptions, SpeculativeRuntime, TxnError,
+    AnyStructure, CoarseLockRuntime, FallbackOptions, FaultPlan, RuntimeOptions,
+    SpeculativeRuntime, TxnError,
 };
-use semcommute_spec::InterfaceId;
 
 /// Deterministic xorshift64* — reproducible workloads, no external crates.
 struct XorShift(u64);
@@ -173,10 +153,6 @@ impl Workload {
 struct Measurement {
     engine: &'static str,
     workload: &'static str,
-    /// Which admission backend the leg ran under: `"default"` for the classic
-    /// grid (whatever `SEMCOMMUTE_ADMIT` selects), the backend name for the
-    /// dedicated admission legs.
-    admit: &'static str,
     /// Which fallback configuration the leg ran under: `"default"` for the
     /// classic grid (whatever `SEMCOMMUTE_FALLBACK` selects), `"on"` / `"off"`
     /// for the dedicated contention legs, `"n/a"` for non-speculative
@@ -194,8 +170,8 @@ struct Measurement {
     /// Execution-mode transitions applied by the contention state machine
     /// (speculative legs only).
     mode_switches: u64,
-    /// Operations held open by pinned background transactions for the whole
-    /// measured run (0 for the classic legs).
+    /// Snapshots the mirror microharness keeps retained for the whole
+    /// measured run (0 for every other leg).
     pinned_ops: u64,
     wall_s: f64,
 }
@@ -219,7 +195,7 @@ impl Measurement {
 
     fn json(&self) -> String {
         format!(
-            "    {{\"engine\": \"{}\", \"workload\": \"{}\", \"admit\": \"{}\", \
+            "    {{\"engine\": \"{}\", \"workload\": \"{}\", \
              \"fallback\": \"{}\", \"threads\": {}, \
              \"target_ops\": {}, \"committed_ops\": {}, \"commits\": {}, \"aborts\": {}, \
              \"conflicts\": {}, \"degraded_commits\": {}, \"mode_switches\": {}, \
@@ -228,7 +204,6 @@ impl Measurement {
              \"per_op_ns\": {:.1}}}",
             self.engine,
             self.workload,
-            self.admit,
             self.fallback,
             self.threads,
             self.target_ops,
@@ -337,7 +312,6 @@ fn run_speculative_leg(
     Measurement {
         engine: "speculative",
         workload: workload.name(),
-        admit: "default",
         fallback,
         threads,
         target_ops: per_thread * threads * 2,
@@ -380,7 +354,6 @@ fn run_coarse(workload: Workload, threads: u64, ops: u64, prefill: u64) -> Measu
     Measurement {
         engine: "coarse_lock",
         workload: workload.name(),
-        admit: "default",
         fallback: "n/a",
         threads,
         target_ops: per_thread * threads * 2,
@@ -423,7 +396,6 @@ fn run_seed(workload: Workload, threads: u64, ops: u64, prefill: u64) -> Measure
     Measurement {
         engine: "seed",
         workload: workload.name(),
-        admit: "default",
         fallback: "n/a",
         threads,
         target_ops: per_thread * threads * 2,
@@ -434,200 +406,6 @@ fn run_seed(workload: Workload, threads: u64, ops: u64, prefill: u64) -> Measure
         degraded_commits: 0,
         mode_switches: 0,
         pinned_ops: 0,
-        wall_s,
-    }
-}
-
-fn admit_label(backend: AdmitBackend) -> &'static str {
-    match backend {
-        AdmitBackend::Bytecode => "bytecode",
-        AdmitBackend::Interp => "interp",
-    }
-}
-
-/// The dedicated admission leg: a single measured thread, a small prefill
-/// (so copy-on-write detach cost stays off the critical path), and three
-/// *pinned* background transactions whose fifteen logged operations every
-/// measured operation must be admitted against. The pinned scripts touch
-/// reserved keys far outside the workload's domain (so the well-formed
-/// verdict is "commutes") plus one `contains` probe each on a hot prefilled
-/// key (so skewed traffic earns genuine conflict verdicts and exercises the
-/// retry/abort path). The workload is deterministic and identical across
-/// backends; only the admission evaluator differs.
-fn run_admission(workload: Workload, backend: AdmitBackend, ops: u64, prefill: u64) -> Measurement {
-    // The fallback must be pinned off here: the pinned background
-    // transactions hold the mode gate's shared side for the entire measured
-    // run, so an abort-rate-triggered degrade (the skewed leg aborts half
-    // its traffic by design) would wait forever for readers that never
-    // leave. Long-lived open transactions and the coarse fallback are
-    // mutually exclusive by construction — see the contention module docs.
-    let rt = SpeculativeRuntime::with_options(
-        prefilled(prefill),
-        RuntimeOptions {
-            backend,
-            fallback: FallbackOptions::off(),
-            ..RuntimeOptions::default()
-        },
-    );
-
-    // Pin the background transactions open for the whole measured run. The
-    // entry count is deliberately large enough (120) that admission checks —
-    // not begin/commit bookkeeping — dominate the measured wall time.
-    let base = (prefill * 100) as u32;
-    let mut pinned = Vec::new();
-    let mut pinned_ops = 0u64;
-    for t in 0..20u32 {
-        let mut txn = rt.begin();
-        let reserved = |i: u32| Value::elem(base + t * 10 + i);
-        let script = [
-            ("add", vec![reserved(0)]),
-            ("remove", vec![reserved(1)]),
-            ("contains", vec![reserved(2)]),
-            // A hot prefilled key: `contains` records `r1 = true`, which is
-            // exactly what the between conditions for (contains, add/remove)
-            // consult when the workload later hits the same key.
-            ("contains", vec![Value::elem(t % 3 + 1)]),
-            ("add", vec![reserved(3)]),
-            ("remove", vec![reserved(4)]),
-        ];
-        for (op, args) in &script {
-            txn.execute(op, args)
-                .expect("pinned setup operations admit against each other");
-            pinned_ops += 1;
-        }
-        pinned.push(txn);
-    }
-
-    let txns = ops / 2; // two ops per transaction
-    let mut committed_ops = 0u64;
-    let mut rng = XorShift::new(0xad31_7bad ^ ops);
-    let start = Instant::now();
-    for _ in 0..txns {
-        let script = workload.transaction(&mut rng, prefill);
-        // Conflicts against a pinned transaction do not resolve on retry, so
-        // a tight retry budget keeps the leg honest: one retry, then abort.
-        let done = rt.run(2, |txn| {
-            for (op, args) in &script {
-                txn.execute(op, args)?;
-            }
-            Ok(())
-        });
-        match done {
-            Ok(()) => committed_ops += script.len() as u64,
-            Err(TxnError::RetriesExhausted(_)) => {}
-            Err(e) => panic!("admission workload failed: {e}"),
-        }
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-
-    for txn in pinned {
-        txn.abort();
-    }
-    rt.check_invariants()
-        .expect("invariants hold after the run");
-    let stats = rt.stats();
-    assert_eq!(stats.begun, stats.commits + stats.aborts);
-    Measurement {
-        engine: "speculative",
-        workload: workload.name(),
-        admit: admit_label(backend),
-        fallback: "off",
-        threads: 1,
-        target_ops: txns * 2,
-        committed_ops,
-        commits: stats.commits,
-        aborts: stats.aborts,
-        conflicts: stats.conflicts,
-        degraded_commits: stats.degraded_commits,
-        mode_switches: stats.mode_switches,
-        pinned_ops,
-        wall_s,
-    }
-}
-
-/// The admission-only microbenchmark: drives the gatekeeper's indexed check
-/// path directly — the exact code the executor's hot loop runs per (logged
-/// entry, incoming operation) pair — over a log shaped like
-/// [`run_admission`]'s pinned transactions and incoming operations drawn
-/// from the same workload distributions. No structure, no publish, no
-/// commit: the measured wall time is admission evaluation alone, so the
-/// per-check ratio between the two backends is the number the acceptance
-/// criterion pins. Every check runs (no conflict early-exit), so both
-/// backends perform the identical check sequence; `commits` counts admitted
-/// checks, `conflicts` conflict verdicts, `aborts` evaluation errors
-/// (expected 0).
-fn run_gatekeeper(
-    workload: Workload,
-    backend: AdmitBackend,
-    checks: u64,
-    prefill: u64,
-) -> Measurement {
-    let g = CommutativityGatekeeper::with_backend(InterfaceId::Set, backend);
-
-    // The same entry shape `run_admission`'s pinned transactions publish,
-    // with the results the runtime would record — including the projected
-    // pre-state for operations whose conditions read `s1`, exactly as the
-    // executor attaches it at publish time.
-    let pre = prefilled(prefill).abstract_state().to_value();
-    let base = (prefill * 100) as u32;
-    let mut entries: Vec<(u16, LogEntry)> = Vec::new();
-    for t in 0..20u32 {
-        let reserved = |i: u32| Value::elem(base + t * 10 + i);
-        let shaped = [
-            ("add", reserved(0), Value::Bool(true)),
-            ("remove", reserved(1), Value::Bool(false)),
-            ("contains", reserved(2), Value::Bool(false)),
-            ("contains", Value::elem(t % 3 + 1), Value::Bool(true)),
-            ("add", reserved(3), Value::Bool(true)),
-            ("remove", reserved(4), Value::Bool(false)),
-        ];
-        for (op, arg, result) in shaped {
-            entries.push((
-                g.op_index(op).expect("catalog operation"),
-                LogEntry {
-                    txn: u64::from(t) + 1,
-                    op: op.to_string(),
-                    args: vec![arg],
-                    result: Some(result),
-                    pre_state: g.requires_pre_state(op).then(|| pre.clone()),
-                },
-            ));
-        }
-    }
-
-    let incoming = checks / (2 * entries.len() as u64); // two ops per script
-    let mut rng = XorShift::new(0x06a7_ebad ^ checks);
-    let (mut performed, mut admitted, mut conflicts, mut errors) = (0u64, 0u64, 0u64, 0u64);
-    let start = Instant::now();
-    for _ in 0..incoming {
-        for (op, args) in workload.transaction(&mut rng, prefill) {
-            let op_idx = g.op_index(op).expect("catalog operation");
-            for (first, entry) in &entries {
-                performed += 1;
-                match g.check_indexed(*first, entry, op_idx, op, &args) {
-                    Ok(()) => admitted += 1,
-                    Err(AdmissionError::Conflict(_)) => conflicts += 1,
-                    Err(AdmissionError::Evaluation(_)) => errors += 1,
-                }
-            }
-        }
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    assert_eq!(errors, 0, "well-formed entries never fail evaluation");
-    Measurement {
-        engine: "gatekeeper",
-        workload: workload.name(),
-        admit: admit_label(backend),
-        fallback: "n/a",
-        threads: 1,
-        target_ops: checks,
-        committed_ops: performed,
-        commits: admitted,
-        aborts: errors,
-        conflicts,
-        degraded_commits: 0,
-        mode_switches: 0,
-        pinned_ops: entries.len() as u64,
         wall_s,
     }
 }
@@ -705,7 +483,6 @@ fn run_snapshot_mirror_flat(ops: u64, n: u64) -> (Measurement, u64) {
         Measurement {
             engine: "mirror_flat",
             workload: "skewed",
-            admit: "default",
             fallback: "n/a",
             threads: 1,
             target_ops: ops,
@@ -746,7 +523,6 @@ fn run_snapshot_mirror_tree(ops: u64, n: u64) -> (Measurement, u64) {
         Measurement {
             engine: "mirror_tree",
             workload: "skewed",
-            admit: "default",
             fallback: "n/a",
             threads: 1,
             target_ops: ops,
@@ -805,7 +581,6 @@ fn run_snapshot_runtime(ops: u64, prefill: u64) -> Measurement {
     Measurement {
         engine: "snapshot_runtime",
         workload: "skewed",
-        admit: "default",
         fallback: "default",
         threads: 1,
         target_ops: txns * ops_per_txn,
@@ -824,7 +599,6 @@ fn main() {
     let mut ops: u64 = 250_000;
     let mut seed_ops: u64 = 20_000;
     let mut prefill: u64 = 10_000;
-    let mut admit: Vec<AdmitBackend> = vec![AdmitBackend::Bytecode, AdmitBackend::Interp];
     let mut snap_ops: Option<u64> = None;
     let mut snap_prefill: u64 = 4_096;
     let mut json_path: Option<String> = None;
@@ -856,15 +630,6 @@ fn main() {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .expect("--prefill N")
-            }
-            "--admit" => {
-                admit = match args.next().as_deref() {
-                    Some("bytecode") => vec![AdmitBackend::Bytecode],
-                    Some("interp") => vec![AdmitBackend::Interp],
-                    Some("both") => vec![AdmitBackend::Bytecode, AdmitBackend::Interp],
-                    Some("off") => vec![],
-                    other => panic!("--admit bytecode|interp|both|off, got {other:?}"),
-                }
             }
             "--json" => json_path = Some(args.next().expect("--json PATH")),
             other => panic!("unknown option {other}"),
@@ -908,54 +673,6 @@ fn main() {
             runs[last].per_op_ns(),
             seed_ops,
         );
-    }
-
-    // The admission legs: same reduced op count for both backends, a small
-    // prefill, pinned background transactions supplying the entries to admit
-    // against (see `run_admission`).
-    let admit_ops = (ops / 5).max(1_000);
-    let admit_prefill = 64;
-    for workload in [Workload::Uniform, Workload::Skewed] {
-        for &backend in &admit {
-            runs.push(run_admission(workload, backend, admit_ops, admit_prefill));
-            let m = runs.last().unwrap();
-            println!(
-                "{:8} admit/{:5} t= 1  spec {:>12.0} ops/s ({:>7.0} ns/op, {} commits, \
-                 {} aborts, {} conflicts)",
-                m.workload,
-                m.admit,
-                m.committed_ops_per_s(),
-                m.per_op_ns(),
-                m.commits,
-                m.aborts,
-                m.conflicts,
-            );
-        }
-    }
-
-    // The admission-only microbenchmark: same log shape and workload
-    // distributions, gatekeeper checks alone (see `run_gatekeeper`).
-    let gate_checks = (ops * 4).max(100_000);
-    for workload in [Workload::Uniform, Workload::Skewed] {
-        for &backend in &admit {
-            runs.push(run_gatekeeper(
-                workload,
-                backend,
-                gate_checks,
-                admit_prefill,
-            ));
-            let m = runs.last().unwrap();
-            println!(
-                "{:8} gate/{:6} t= 1  {:>14.0} checks/s ({:>6.0} ns/check, \
-                 {} admitted, {} conflicts)",
-                m.workload,
-                m.admit,
-                m.committed_ops_per_s(),
-                m.per_op_ns(),
-                m.commits,
-                m.conflicts,
-            );
-        }
     }
 
     // The snapshot-heavy legs: the flat-vs-tree mirror microharness (the
@@ -1131,53 +848,6 @@ fn main() {
             .unwrap_or(f64::INFINITY);
         spec / coarse
     };
-    // When both admission backends ran, two comparisons gate acceptance:
-    //
-    // * **End-to-end**: the runtime admission legs must have *identical*
-    //   commit/abort/conflict counts (same deterministic workload; verdict
-    //   agreement is proven by the diff harnesses — a mismatch here is a
-    //   real bug), and the compiled backend must not be slower. End-to-end
-    //   wall time also pays structure application, publishing, and commit
-    //   bookkeeping, identically under both backends, so this ratio
-    //   understates the admission speedup.
-    // * **Admission-only**: the gatekeeper microbenchmark isolates the
-    //   per-check cost the tentpole changed; compiled admission must be at
-    //   most 0.5× the interpreter per check, with identical verdicts. With
-    //   identical counts the wall-time ratio *is* the per-op ratio.
-    let admit_both =
-        admit.contains(&AdmitBackend::Bytecode) && admit.contains(&AdmitBackend::Interp);
-    let mut admit_counts_identical = true;
-    let mut admit_ratio = |engine: &str, wl: &str| -> f64 {
-        let leg = |backend: &str| {
-            runs.iter()
-                .find(|m| m.engine == engine && m.admit == backend && m.workload == wl)
-                .expect("both admission legs ran")
-        };
-        let fast = leg("bytecode");
-        let slow = leg("interp");
-        admit_counts_identical &= fast.commits == slow.commits
-            && fast.aborts == slow.aborts
-            && fast.conflicts == slow.conflicts
-            && fast.committed_ops == slow.committed_ops;
-        slow.wall_s / fast.wall_s
-    };
-    let (admit_uniform, admit_skewed, gate_uniform, gate_skewed) = if admit_both {
-        (
-            admit_ratio("speculative", "uniform"),
-            admit_ratio("speculative", "skewed"),
-            admit_ratio("gatekeeper", "uniform"),
-            admit_ratio("gatekeeper", "skewed"),
-        )
-    } else {
-        (0.0, 0.0, 0.0, 0.0)
-    };
-    let admit_passed = !admit_both
-        || (admit_counts_identical
-            && gate_uniform >= 2.0
-            && gate_skewed >= 2.0
-            && admit_uniform > 1.0
-            && admit_skewed > 1.0);
-
     // The snapshot criterion: under the identical retain-then-mutate loop
     // the tree representation's per-op cost must be materially (≥ 2×) lower
     // than the flat mirror's — which, being a lower bound on the real flat
@@ -1200,10 +870,6 @@ fn main() {
         runs.iter()
             .find(|m| {
                 m.engine == "speculative"
-                    // Not the dedicated admission legs, which also pin the
-                    // fallback off (their gate-pinning transactions exclude
-                    // the degraded path — see `run_admission`).
-                    && m.admit == "default"
                     && m.workload == workload
                     && m.fallback == fallback
                     && m.threads == threads
@@ -1249,23 +915,13 @@ fn main() {
     } else {
         spec_vs_coarse_t4 > 1.0
     };
-    let passed = classic_passed && admit_passed && snapshot_passed && fallback_passed;
+    let passed = classic_passed && snapshot_passed && fallback_passed;
     println!();
     println!(
         "seed/speculative per-op overhead ratio: uniform {overhead_ratio_uniform:.1}x, \
          skewed {overhead_ratio_skewed:.1}x"
     );
     println!("speculative/coarse throughput at t=4 (uniform): {spec_vs_coarse_t4:.2}x");
-    if admit_both {
-        println!(
-            "interp/bytecode end-to-end per-op ratio: uniform {admit_uniform:.2}x, \
-             skewed {admit_skewed:.2}x (counts identical: {admit_counts_identical})"
-        );
-        println!(
-            "interp/bytecode admission-only per-check ratio: uniform {gate_uniform:.2}x, \
-             skewed {gate_skewed:.2}x"
-        );
-    }
     println!(
         "flat/tree snapshot-loop per-op ratio: {mirror_flat_over_tree:.1}x \
          (flat {mirror_flat_per_op:.0} ns/op, tree {mirror_tree_per_op:.0} ns/op, \
@@ -1283,7 +939,7 @@ fn main() {
          skewed {parity_skewed:.3}x (never fired: {parity_never_fired})"
     );
     println!(
-        "acceptance ({}{}; tree >=2x lower snapshot-loop per-op than flat; \
+        "acceptance ({}; tree >=2x lower snapshot-loop per-op than flat; \
          adaptive <={HOT_ADAPTIVE_OVER_COARSE_MAX}x coarse and \
          >={HOT_OFF_OVER_ADAPTIVE_MIN}x better than fallback-off under forced \
          contention, parity within 10%): {}",
@@ -1292,27 +948,16 @@ fn main() {
         } else {
             "multi-core host: speculative out-commits coarse at t=4"
         },
-        if admit_both {
-            "; compiled admission <=0.5x interp per-check, faster end-to-end, identical counts"
-        } else {
-            ""
-        },
         if passed { "PASS" } else { "FAIL" }
     );
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"options\": {{\"ops\": {ops}, \"seed_ops\": {seed_ops}, \"prefill\": {prefill}, \
-         \"admit\": [{}], \"admit_ops\": {admit_ops}, \"admit_prefill\": {admit_prefill}, \"gate_checks\": {gate_checks}, \
          \"snap_ops\": {snap_ops}, \"snap_flat_ops\": {flat_ops}, \"snap_prefill\": {snap_prefill}, \
          \"snap_retained\": {MIRROR_RETAIN}, \
          \"hot_ops\": {hot_ops}, \"hot_conflict_period\": {hot_period}, \
          \"host_parallelism\": {host_threads}}},\n",
-        admit
-            .iter()
-            .map(|&b| format!("\"{}\"", admit_label(b)))
-            .collect::<Vec<_>>()
-            .join(", "),
     ));
     json.push_str("  \"runs\": [\n");
     for (i, m) in runs.iter().enumerate() {
@@ -1325,12 +970,6 @@ fn main() {
          \"seed_over_speculative_per_op_uniform\": {overhead_ratio_uniform:.2}, \
          \"seed_over_speculative_per_op_skewed\": {overhead_ratio_skewed:.2}, \
          \"speculative_over_coarse_t4_uniform\": {spec_vs_coarse_t4:.3}, \
-         \"admit_compared\": {admit_both}, \
-         \"admit_interp_over_bytecode_uniform\": {admit_uniform:.2}, \
-         \"admit_interp_over_bytecode_skewed\": {admit_skewed:.2}, \
-         \"gate_interp_over_bytecode_uniform\": {gate_uniform:.2}, \
-         \"gate_interp_over_bytecode_skewed\": {gate_skewed:.2}, \
-         \"admit_counts_identical\": {admit_counts_identical}, \
          \"mirror_flat_over_tree_per_op\": {mirror_flat_over_tree:.2}, \
          \"mirror_flat_per_op_ns\": {mirror_flat_per_op:.1}, \
          \"mirror_tree_per_op_ns\": {mirror_tree_per_op:.1}, \

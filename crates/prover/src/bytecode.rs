@@ -1,22 +1,23 @@
-//! Flat register bytecode for compiled obligations: the batched evaluation
-//! backend of the finite-model prover.
+//! Flat register bytecode for compiled obligations: the evaluator of the
+//! finite-model prover.
 //!
-//! [`crate::compiled::CompiledObligation::check`] walks a boxed `CTerm` tree
-//! per candidate — per-node dispatch and pointer chasing, millions of times
-//! per obligation. This module lowers the compiled form **once** to a flat
-//! register [`Program`]: a `Vec` of instructions over dense `u32` registers,
-//! with pooled constants, common subexpressions shared, and the
+//! Walking a boxed term tree per candidate costs per-node dispatch and
+//! pointer chasing, millions of times per obligation. This module lowers the
+//! slot-compiled form ([`crate::compiled::CompiledObligation`]) **once** to
+//! a flat register [`Program`]: a `Vec` of instructions over dense `u32`
+//! registers, with pooled constants, common subexpressions shared, and the
 //! define/hypothesis interleaving of the step sequence preserved — a
-//! hypothesis that fails still skips every later define, exactly as in the
-//! tree walk (a failed `Instr::Check` ends the candidate; in the batched
-//! executor it clears the candidate's lane from the active mask, which is the
-//! block-level form of the same jump-to-end).
+//! hypothesis that fails still skips every later define (a failed
+//! `Instr::Check` ends the candidate; in the batched executor it clears the
+//! candidate's lane from the active mask, which is the block-level form of
+//! the same jump-to-end).
 //!
 //! Two executors run the program:
 //!
 //! * a **scalar** executor ([`Program::check`]) with one `Value` per
-//!   register — same calling convention as the tree walk, used by the
-//!   property harness and the microbenchmarks, and
+//!   register — used to replay counter-models, by the runtime's admission
+//!   programs ([`Program::eval_formula`]), the property harness and the
+//!   microbenchmarks, and
 //! * a **block** executor ([`Program::run_block`]) that evaluates up to
 //!   [`LANES`] candidates at once, column-wise: each register holds a
 //!   [`LANES`]-wide column, boolean columns are 256-bit masks (`u64x4`
@@ -30,18 +31,19 @@
 //!   paths fall back to boxed scalar execution of that instruction, lane by
 //!   lane, in ascending lane order.
 //!
-//! Semantics mirror the reference evaluator **exactly** — totalization,
-//! operand evaluation order, sort-check order and error strings,
-//! `MAX_QUANTIFIER_RANGE`, and the first-deciding-event stopping rule. The
-//! block executor reports only the *minimum-lane* deciding event of a block
-//! (counter-model or evaluation error), which is precisely the event the
-//! sequential tree walk would have stopped at; everything a later candidate
-//! would have done is suppressed, so verdicts, counter-models, `Unknown`
-//! reasons, and the `models_checked` / `orbits_pruned` counters stay
-//! bit-identical to the tree-walk oracle at every thread count, split
-//! threshold, and block boundary (pinned by `tests/diff_bytecode.rs` and
-//! `tests/prop_bytecode.rs`). The tree walk remains the oracle; the
-//! [`crate::scope::Scope::bytecode`] flag selects between them.
+//! Semantics mirror the reference evaluator ([`mod@semcommute_logic::eval`])
+//! **exactly** — totalization, operand evaluation order, sort-check order
+//! and error strings, `MAX_QUANTIFIER_RANGE`, and the first-deciding-event
+//! stopping rule. The block executor reports only the *minimum-lane*
+//! deciding event of a block (counter-model or evaluation error), which is
+//! precisely the event a candidate-by-candidate scan would have stopped at;
+//! everything a later candidate would have done is suppressed, so verdicts,
+//! counter-models, `Unknown` reasons, and the `models_checked` /
+//! `orbits_pruned` counters are the same at every thread count, split
+//! threshold, and block boundary. `tests/prop_bytecode.rs` checks both
+//! executors against `logic::eval` on random obligations, and
+//! `tests/golden_catalog.rs` pins every catalog verdict to a committed
+//! digest.
 
 use std::collections::{HashMap, HashSet};
 
@@ -951,11 +953,11 @@ impl Program {
     }
 
     /// Checks one candidate, scalar: `inputs` are the input-variable values
-    /// in compile order. Same contract as
-    /// [`crate::compiled::CompiledObligation::check`] — `Ok(None)` when the
-    /// candidate is not a counterexample, `Ok(Some(()))` when it is (call
-    /// [`Program::reconstruct`] on the same environment for the model), and
-    /// `Err` with the reference evaluator's exact message on an evaluation
+    /// in compile order. Returns `Ok(None)` when the candidate is not a
+    /// counterexample (a hypothesis failed or the goal held), `Ok(Some(()))`
+    /// when it is (call [`Program::reconstruct`] on the same environment for
+    /// the model), and `Err` with the reference evaluator's exact message,
+    /// prefixed by the failing define, hypothesis or goal, on an evaluation
     /// error.
     pub fn check(
         &self,
@@ -2341,59 +2343,52 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::reference;
     use crate::obligation::Obligation;
     use semcommute_logic::build::*;
 
-    fn compare_scalar(ob: &Obligation, order: &[&str], inputs: Vec<Value>) {
+    /// Runs one candidate through the scalar executor and through the
+    /// reference evaluator `logic::eval` (in the compiled step order): same
+    /// verdict, same counter-model, same wrapped error message.
+    fn compare_with_reference(ob: &Obligation, order: &[&str], inputs: Vec<Value>) {
         let order: Vec<String> = order.iter().map(|s| s.to_string()).collect();
         let compiled = CompiledObligation::compile(ob, &order);
         let program = Program::lower(&compiled);
-        let mut tree_env = compiled.env();
+        let model = Model::from_bindings(order.iter().cloned().zip(inputs.iter().cloned()));
+        let expected = reference::check(ob, &compiled, model);
         let mut exec = program.scalar_exec();
-        let mut tree_inputs = inputs.clone();
-        let mut bc_inputs = inputs;
-        let tree = compiled.check(&mut tree_inputs, &mut tree_env);
-        let bytecode = program.check(&mut bc_inputs, &mut exec);
-        match (&tree, &bytecode) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b),
-            (Err(a), Err(b)) => assert_eq!(a, b),
-            _ => panic!("tree {tree:?} != bytecode {bytecode:?}"),
-        }
-        if let Ok(Some(())) = tree {
-            assert_eq!(compiled.reconstruct(&tree_env), program.reconstruct(&exec));
-        }
+        let bytecode = program
+            .check(&mut inputs.clone(), &mut exec)
+            .map(|cex| cex.map(|()| program.reconstruct(&exec)));
+        assert_eq!(bytecode, expected, "{} on {inputs:?}", ob.name);
     }
 
     #[test]
-    fn scalar_execution_matches_tree_walk() {
+    fn scalar_execution_matches_the_reference() {
         let ob = Obligation::new("t")
             .define("r1", member(var_elem("v1"), var_set("s")))
             .define("s1", set_add(var_set("s"), var_elem("v2")))
             .define("r2", member(var_elem("v1"), var_set("s1")))
             .goal(eq(var_bool("r1"), var_bool("r2")));
-        compare_scalar(
+        compare_with_reference(
             &ob,
             &["v1", "v2", "s"],
             vec![Value::elem(1), Value::elem(1), Value::set_of([])],
         );
-        compare_scalar(
+        compare_with_reference(
             &ob,
             &["v1", "v2", "s"],
-            vec![
-                Value::elem(1),
-                Value::elem(2),
-                Value::set_of([semcommute_logic::ElemId(1)]),
-            ],
+            vec![Value::elem(1), Value::elem(2), Value::set_of([ElemId(1)])],
         );
     }
 
     #[test]
-    fn scalar_execution_matches_tree_walk_on_errors() {
+    fn scalar_execution_matches_the_reference_on_errors() {
         // Ill-sorted operand inside a define: identical wrapped message.
         let ob = Obligation::new("bad")
             .define("n", card(var_elem("v")))
             .goal(eq(var_int("n"), int(0)));
-        compare_scalar(&ob, &["v"], vec![Value::elem(1)]);
+        compare_with_reference(&ob, &["v"], vec![Value::elem(1)]);
         // Oversized quantifier range inside the goal.
         let ob = Obligation::new("wide").goal(forall_int(
             "i",
@@ -2401,21 +2396,27 @@ mod tests {
             int(MAX_QUANTIFIER_RANGE + 2),
             le(int(0), var_int("i")),
         ));
-        compare_scalar(&ob, &[], vec![]);
+        compare_with_reference(&ob, &[], vec![]);
     }
 
     #[test]
     fn hypothesis_rejection_skips_the_goal() {
         // The goal would error (card of an elem), but the false input-only
-        // hypothesis rejects the candidate first — in both backends.
+        // hypothesis rejects the candidate first.
         let ob = Obligation::new("rejected")
             .assume(lt(var_int("i"), int(0)))
             .goal(eq(card(var_elem("v")), int(0)));
-        compare_scalar(&ob, &["i", "v"], vec![Value::Int(3), Value::elem(1)]);
+        compare_with_reference(&ob, &["i", "v"], vec![Value::Int(3), Value::elem(1)]);
+        let order = ["i".to_string(), "v".to_string()];
+        let program = Program::lower(&CompiledObligation::compile(&ob, &order));
+        let mut exec = program.scalar_exec();
+        let mut inputs = vec![Value::Int(3), Value::elem(1)];
+        assert_eq!(program.check(&mut inputs, &mut exec), Ok(None));
     }
 
     #[test]
-    fn quantifiers_and_shadowing_match() {
+    fn quantifier_binders_are_scoped() {
+        // exists i in [0, len(q)). q[i] = v — with a nested shadowing binder.
         let ob = Obligation::new("q").goal(exists_int(
             "i",
             int(0),
@@ -2426,13 +2427,71 @@ mod tests {
             ),
         ));
         for (q, v) in [
-            (
-                Value::seq_of([semcommute_logic::ElemId(4), semcommute_logic::ElemId(7)]),
-                Value::elem(7),
-            ),
-            (Value::seq_of([semcommute_logic::ElemId(4)]), Value::elem(7)),
+            (Value::seq_of([ElemId(4), ElemId(7)]), Value::elem(7)),
+            (Value::seq_of([ElemId(4)]), Value::elem(7)),
         ] {
-            compare_scalar(&ob, &["q", "v"], vec![q, v]);
+            compare_with_reference(&ob, &["q", "v"], vec![q, v]);
+        }
+    }
+
+    /// Collection reads (`member`/`card`/`at`/...) of input operands agree
+    /// with the reference on results and on the ill-sorted error cases.
+    #[test]
+    fn collection_reads_match_the_reference_and_its_errors() {
+        let ob = Obligation::new("reads").goal(and2(
+            and2(
+                member(var_elem("v"), var_set("s")),
+                eq(card(var_set("s")), int(2)),
+            ),
+            and2(
+                and2(
+                    eq(map_get(var_map("mp"), var_elem("v")), var_elem("w")),
+                    map_has_key(var_map("mp"), var_elem("v")),
+                ),
+                and2(
+                    eq(seq_at(var_seq("q"), int(1)), var_elem("w")),
+                    and2(
+                        seq_contains(var_seq("q"), var_elem("v")),
+                        eq(seq_index_of(var_seq("q"), var_elem("v")), int(0)),
+                    ),
+                ),
+            ),
+        ));
+        compare_with_reference(
+            &ob,
+            &["v", "w", "s", "mp", "q"],
+            vec![
+                Value::elem(1),
+                Value::elem(2),
+                Value::set_of([ElemId(1), ElemId(2)]),
+                Value::map_of([(ElemId(1), ElemId(2))]),
+                Value::seq_of([ElemId(1), ElemId(2)]),
+            ],
+        );
+
+        // Ill-sorted operands keep the reference error messages.
+        for (goal, expected) in [
+            (card(var_int("x")), "card: expected obj set"),
+            (
+                member(var_elem("v"), var_int("x")),
+                "member: expected obj set",
+            ),
+            (map_size(var_int("x")), "map size: expected (obj, obj) map"),
+            (seq_len(var_int("x")), "seq len: expected obj seq"),
+            (seq_at(var_int("x"), int(0)), "seq at: expected obj seq"),
+            (
+                map_get(var_int("x"), var_elem("v")),
+                "map get: expected (obj, obj) map",
+            ),
+        ] {
+            let ob = Obligation::new("bad").goal(eq(goal, int(0)));
+            compare_with_reference(&ob, &["v", "x"], vec![Value::elem(1), Value::Int(3)]);
+            let order = ["v".to_string(), "x".to_string()];
+            let program = Program::lower(&CompiledObligation::compile(&ob, &order));
+            let mut exec = program.scalar_exec();
+            let mut inputs = vec![Value::elem(1), Value::Int(3)];
+            let err = program.check(&mut inputs, &mut exec).unwrap_err();
+            assert!(err.contains(expected), "`{err}` missing `{expected}`");
         }
     }
 
@@ -2471,7 +2530,7 @@ mod tests {
             })
             .count();
         assert_eq!(cards, 1);
-        compare_scalar(&ob, &["s"], vec![Value::set_of([])]);
+        compare_with_reference(&ob, &["s"], vec![Value::set_of([])]);
     }
 
     fn seq(ids: &[u32]) -> Value {

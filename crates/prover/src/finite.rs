@@ -54,7 +54,7 @@ impl FiniteModelProver {
 
     /// Prepares the counter-model search for an obligation: validates it,
     /// builds the input space, checks the model budget, and compiles the
-    /// obligation to its slot-indexed form. Returns the verdict directly
+    /// obligation to its register program. Returns the verdict directly
     /// (`Err`) when the search cannot run at all — a malformed obligation or
     /// a space over budget.
     pub fn begin(&self, ob: &Obligation) -> Result<ModelSearch, Verdict> {
@@ -76,21 +76,14 @@ impl FiniteModelProver {
                 stats: ProofStats::finite(0, started.elapsed()),
             });
         }
-        // The obligation is compiled once per search: every variable
-        // occurrence becomes a slot index, so the per-candidate loop never
-        // builds a name-keyed model or looks anything up by string. The
-        // compiled form holds no arena ids, so one search can be scanned
-        // from many worker threads.
-        let compiled = CompiledObligation::compile(ob, &space.var_order());
-        // With the bytecode backend enabled the obligation is additionally
-        // lowered to its flat register program, once per search; the scans
-        // below then run candidates in batched 256-lane blocks instead of
-        // tree-walking `eval_c` per candidate. The tree-walk form is kept
-        // regardless: `replay` and the differential harnesses use it as the
-        // bit-reproducible oracle.
-        let program = self.scope.bytecode.then(|| Program::lower(&compiled));
+        // The obligation is compiled and lowered once per search: every
+        // variable occurrence becomes a register, so the per-candidate loop
+        // never builds a name-keyed model or looks anything up by string,
+        // and candidates run in batched 256-lane blocks. The program holds
+        // no arena ids, so one search can be scanned from many worker
+        // threads.
+        let program = Program::lower(&CompiledObligation::compile(ob, &space.var_order()));
         Ok(ModelSearch {
-            compiled,
             space,
             program,
             // `estimate <= max_models` (a u64) was just checked.
@@ -100,8 +93,8 @@ impl FiniteModelProver {
     }
 
     /// Attempts to prove the obligation by exhaustive counter-model search
-    /// on the calling thread. This is the bit-reproducible sequential form
-    /// the range-split runs are differentially tested against.
+    /// on the calling thread. This is the sequential form the range-split
+    /// runs are differentially tested against.
     pub fn prove(&self, ob: &Obligation) -> Verdict {
         match self.begin(ob) {
             Err(verdict) => verdict,
@@ -114,14 +107,14 @@ impl FiniteModelProver {
     /// and by the runtime crate to replay reported counterexamples.
     pub fn replay(&self, ob: &Obligation, input: &Model) -> Option<Model> {
         let order: Vec<String> = ob.input_vars().keys().cloned().collect();
-        let compiled = crate::compiled::CompiledObligation::compile(ob, &order);
-        let mut env = compiled.env();
+        let program = Program::lower(&CompiledObligation::compile(ob, &order));
+        let mut exec = program.scalar_exec();
         let mut buf: Vec<Value> = order
             .iter()
             .map(|name| input.get(name).cloned())
             .collect::<Option<_>>()?;
-        match compiled.check(&mut buf, &mut env) {
-            Ok(Some(())) => Some(compiled.reconstruct(&env)),
+        match program.check(&mut buf, &mut exec) {
+            Ok(Some(())) => Some(program.reconstruct(&exec)),
             _ => None,
         }
     }
@@ -138,8 +131,8 @@ impl FiniteModelProver {
     }
 }
 
-/// A prepared counter-model search: the compiled obligation plus its input
-/// space, ready to be scanned whole ([`ModelSearch::run`]) or as
+/// A prepared counter-model search: the obligation's register program plus
+/// its input space, ready to be scanned whole ([`ModelSearch::run`]) or as
 /// unreduced-position ranges ([`ModelSearch::run_range`]) that many worker
 /// threads drive concurrently against one [`SearchShared`].
 ///
@@ -150,14 +143,11 @@ impl FiniteModelProver {
 /// deciding event with the minimum position is exactly the event the
 /// sequential scan stops at. That is what makes a range-split search report
 /// the *same* verdict, counter-model, and `Unknown` reason as the unsplit
-/// sequential oracle, not merely an equivalent one.
+/// sequential scan, not merely an equivalent one.
 #[derive(Debug)]
 pub struct ModelSearch {
-    compiled: CompiledObligation,
     space: InputSpace,
-    /// The lowered register program, present iff the scope selects the
-    /// bytecode backend ([`crate::scope::Scope::bytecode`]).
-    program: Option<Program>,
+    program: Program,
     total: u64,
     started: Instant,
 }
@@ -171,49 +161,16 @@ impl ModelSearch {
 
     /// Runs the whole search sequentially on the calling thread and returns
     /// the verdict. Equivalent to `run_range(0, total)` + finalize, but with
-    /// no shared state or atomics — the reproducible oracle path.
+    /// no shared state or atomics.
+    ///
+    /// Candidates are materialized in blocks of up to [`LANES`] and executed
+    /// column-wise. [`crate::bytecode::Program::run_block`] reports the
+    /// minimum-lane deciding event of each block, which is exactly the
+    /// candidate a candidate-by-candidate scan stops at, so verdict,
+    /// counter-model, `Unknown` reason, `models_checked`, and
+    /// `orbits_pruned` do not depend on the block size.
     pub fn run(self) -> Verdict {
-        if let Some(program) = self.program.as_ref() {
-            return self.run_blocks(program);
-        }
-        let mut env = self.compiled.env();
-        let mut buf = Vec::with_capacity(self.compiled.input_count());
-        let mut it = self.space.iter();
-        let mut checked: u64 = 0;
-        while it.next_values(&mut buf) {
-            checked += 1;
-            match self.compiled.check(&mut buf, &mut env) {
-                Ok(None) => continue,
-                Ok(Some(())) => {
-                    return Verdict::CounterModel {
-                        model: self.compiled.reconstruct(&env),
-                        stats: ProofStats::finite(checked, self.started.elapsed())
-                            .with_orbits_pruned(it.orbits_pruned()),
-                    }
-                }
-                Err(reason) => {
-                    return Verdict::Unknown {
-                        reason,
-                        stats: ProofStats::finite(checked, self.started.elapsed())
-                            .with_orbits_pruned(it.orbits_pruned()),
-                    }
-                }
-            }
-        }
-        Verdict::Valid {
-            stats: ProofStats::finite(checked, self.started.elapsed())
-                .with_orbits_pruned(it.orbits_pruned()),
-        }
-    }
-
-    /// The whole-search scan under the bytecode backend: candidates are
-    /// materialized in blocks of up to [`LANES`] and executed column-wise.
-    /// [`crate::bytecode::Program::run_block`] reports the minimum-lane
-    /// deciding event of each block, which is exactly the candidate the
-    /// per-candidate scan above stops at, so verdict, counter-model,
-    /// `Unknown` reason, `models_checked`, and `orbits_pruned` all match
-    /// the tree-walk oracle bit for bit.
-    fn run_blocks(&self, program: &Program) -> Verdict {
+        let program = &self.program;
         let mut it = self.space.iter();
         let mut block = BlockBuf::new();
         let mut exec = program.block_exec();
@@ -273,62 +230,27 @@ impl ModelSearch {
     /// over disjoint ranges of one search.
     ///
     /// The scan stops early when `shared` already holds a deciding event at
-    /// a position below the range (the sequential oracle would never have
+    /// a position below the range (the sequential scan would never have
     /// reached here) or below the scan's own cursor (nothing further in this
     /// range can change the verdict); in both cases the work skipped is work
     /// whose outcome is already irrelevant. On a deciding event the scan
     /// records it — [`SearchShared`] keeps the minimum-position one — and
     /// stops, exactly as the sequential scan stops at its first deciding
     /// event.
+    ///
+    /// The deciding-event guard is polled once per block rather than once
+    /// per candidate. Under any sequential execution order that skips
+    /// exactly what a per-candidate poll would, because ranges are disjoint: a range either contains its own
+    /// minimum-position event (the scan stops exactly there), lies entirely
+    /// below the recorded minimum (it is scanned fully), or starts above it
+    /// (it is skipped). At more than one thread the counters are racy; the
+    /// verdict, counter-model, and `Unknown` reason are not, because only
+    /// the minimum-position event decides.
     pub fn run_range(&self, lo: u64, hi: u64, shared: &SearchShared) {
         if shared.deciding.load(Ordering::Relaxed) < lo {
             return;
         }
-        if let Some(program) = self.program.as_ref() {
-            return self.run_range_blocks(program, lo, hi, shared);
-        }
-        let mut it = self.space.range_iter(lo, hi);
-        let mut env = self.compiled.env();
-        let mut buf = Vec::with_capacity(self.compiled.input_count());
-        let mut checked: u64 = 0;
-        loop {
-            let upos = it.position();
-            if !it.next_values(&mut buf) {
-                break;
-            }
-            checked += 1;
-            match self.compiled.check(&mut buf, &mut env) {
-                Ok(None) => {}
-                Ok(Some(())) => {
-                    shared.record_counterexample(upos, self.compiled.reconstruct(&env));
-                    break;
-                }
-                Err(reason) => {
-                    shared.record_error(upos, reason);
-                    break;
-                }
-            }
-            if shared.deciding.load(Ordering::Relaxed) < upos {
-                break;
-            }
-        }
-        shared.checked.fetch_add(checked, Ordering::Relaxed);
-        shared
-            .pruned
-            .fetch_add(it.orbits_pruned(), Ordering::Relaxed);
-    }
-
-    /// The range scan under the bytecode backend. The deciding-event guard
-    /// is polled once per block rather than once per candidate; that is
-    /// count-identical to the per-candidate guard under any sequential
-    /// execution order, because ranges are disjoint: a range either contains
-    /// its own minimum-position event (both scans stop exactly there), lies
-    /// entirely below the recorded minimum (both scan it fully), or starts
-    /// above it (both skip it). At more than one thread the counters are
-    /// racy in exactly the way the tree-walk scan's already are; the
-    /// verdict, counter-model, and `Unknown` reason remain bit-identical
-    /// because only the minimum-position event decides.
-    fn run_range_blocks(&self, program: &Program, lo: u64, hi: u64, shared: &SearchShared) {
+        let program = &self.program;
         let mut it = self.space.range_iter(lo, hi);
         let mut block = BlockBuf::new();
         let mut exec = program.block_exec();
@@ -402,8 +324,7 @@ pub struct SearchShared {
     /// Candidates pruned as non-canonical, summed over subranges (each
     /// range counts exactly the pruned positions inside itself).
     pruned: AtomicU64,
-    /// Bytecode blocks executed, summed over subranges (zero under the
-    /// tree-walk backend).
+    /// Bytecode blocks executed, summed over subranges.
     batches: AtomicU64,
     /// Lanes re-run through the scalar fallback, summed over subranges.
     batch_fallbacks: AtomicU64,
@@ -501,8 +422,7 @@ pub struct SearchOutcome {
     pub checked: u64,
     /// Candidates pruned as non-canonical, summed over subranges.
     pub pruned: u64,
-    /// Bytecode blocks executed, summed over subranges (zero under the
-    /// tree-walk backend).
+    /// Bytecode blocks executed, summed over subranges.
     pub batches: u64,
     /// Lanes re-run through the scalar fallback, summed over subranges.
     pub batch_fallbacks: u64,
@@ -563,6 +483,7 @@ pub fn prove_finite(ob: &Obligation) -> Verdict {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::reference;
     use semcommute_logic::build::*;
     use semcommute_logic::Value;
 
@@ -758,11 +679,8 @@ mod tests {
             max_models: 5_000_000,
             // The position reasoning below depends on the exact enumeration
             // order; a one-element padding block makes the orbit reduction a
-            // no-op anyway, so pin it off. The backend is irrelevant to the
-            // positions, but pin the tree walk so the test stays a pure
-            // oracle-path exercise.
+            // no-op anyway, so pin it off.
             orbit: false,
-            bytecode: false,
         };
         let quantifier = exists_int(
             "i",
@@ -887,20 +805,43 @@ mod tests {
         assert!(off.replay(&ob, &inputs).is_some());
     }
 
-    fn kind(v: &Verdict) -> &'static str {
-        match v {
-            Verdict::Valid { .. } => "valid",
-            Verdict::CounterModel { .. } => "counter-model",
-            Verdict::Unknown { .. } => "unknown",
+    /// The reference scan: every candidate of the space, in enumeration
+    /// order, through `logic::eval`. Returns the deciding outcome (as
+    /// [`reference::check`] reports it), `models_checked` and
+    /// `orbits_pruned` at the point the scan stopped.
+    fn reference_scan(ob: &Obligation, scope: Scope) -> (Result<Option<Model>, String>, u64, u64) {
+        let space = InputSpace::from_obligation(ob, scope);
+        let order = space.var_order();
+        let compiled = CompiledObligation::compile(ob, &order);
+        let mut it = space.iter();
+        let mut buf = Vec::new();
+        let mut checked = 0;
+        while it.next_values(&mut buf) {
+            checked += 1;
+            let model = Model::from_bindings(order.iter().cloned().zip(buf.drain(..)));
+            let outcome = reference::check(ob, &compiled, model);
+            if outcome != Ok(None) {
+                return (outcome, checked, it.orbits_pruned());
+            }
+        }
+        (Ok(None), checked, it.orbits_pruned())
+    }
+
+    fn outcome(verdict: &Verdict) -> Result<Option<Model>, String> {
+        match verdict {
+            Verdict::Valid { .. } => Ok(None),
+            Verdict::CounterModel { model, .. } => Ok(Some(model.clone())),
+            Verdict::Unknown { reason, .. } => Err(reason.clone()),
         }
     }
 
-    /// The bytecode backend reports bit-identical verdicts, counter-models,
-    /// `Unknown` reasons, and work counters to the tree-walk oracle — whole
-    /// or range-split, with the orbit reduction on or off — and its batch
-    /// counters reconcile with the block size.
+    /// The batched search reports the deciding event of a candidate-by-
+    /// candidate `logic::eval` scan — same verdict, counter-model, `Unknown`
+    /// reason, `models_checked` and `orbits_pruned` — whole or range-split,
+    /// with the orbit reduction on or off, and its batch counters reconcile
+    /// with the block size.
     #[test]
-    fn bytecode_backend_matches_the_tree_walk() {
+    fn batched_search_matches_the_reference_scan() {
         let valid = Obligation::new("bc_valid")
             .define("r1", member(var_elem("v1"), var_set("s")))
             .define("s1", set_add(var_set("s"), var_elem("v2")))
@@ -916,55 +857,21 @@ mod tests {
         for ob in [&valid, &bogus, &illsorted] {
             for orbit in [true, false] {
                 let scope = Scope::standard().with_orbit(orbit);
-                let tree = FiniteModelProver::new(scope.clone().with_bytecode(false)).prove(ob);
-                let bc = FiniteModelProver::new(scope.clone().with_bytecode(true)).prove(ob);
-                assert_eq!(kind(&tree), kind(&bc), "{}", ob.name);
-                assert_eq!(tree.counter_model(), bc.counter_model(), "{}", ob.name);
-                if let (Verdict::Unknown { reason: a, .. }, Verdict::Unknown { reason: b, .. }) =
-                    (&tree, &bc)
-                {
-                    assert_eq!(a, b)
-                }
-                assert_eq!(tree.stats().models_checked, bc.stats().models_checked);
-                assert_eq!(tree.stats().orbits_pruned, bc.stats().orbits_pruned);
-                assert_eq!(tree.stats().batches, 0);
+                let (expected, checked, pruned) = reference_scan(ob, scope.clone());
+                let bc = FiniteModelProver::new(scope.clone()).prove(ob);
+                assert_eq!(outcome(&bc), expected, "{}", ob.name);
+                assert_eq!(bc.stats().models_checked, checked, "{}", ob.name);
+                assert_eq!(bc.stats().orbits_pruned, pruned, "{}", ob.name);
                 assert!(bc.stats().batches > 0, "{}", ob.name);
                 assert!(bc.stats().batches <= bc.stats().models_checked / 256 + 1);
                 assert!(bc.stats().instrs_executed > 0);
 
-                // The same agreement holds for a split execution driven in
-                // descending range order: the verdict matches the sequential
-                // oracle, and the work counters match a tree-walk split with
-                // the identical part structure and completion order (counts
-                // legitimately exceed the sequential scan's when ranges run
-                // before the deciding event is recorded).
-                let order = [6, 5, 4, 3, 2, 1, 0];
-                let split_bc = run_split(ob, scope.clone().with_bytecode(true), 7, &order);
-                let split_tree = run_split(ob, scope.clone().with_bytecode(false), 7, &order);
-                assert_eq!(kind(&tree), kind(&split_bc), "{}", ob.name);
-                assert_eq!(
-                    tree.counter_model(),
-                    split_bc.counter_model(),
-                    "{}",
-                    ob.name
-                );
-                if let (Verdict::Unknown { reason: a, .. }, Verdict::Unknown { reason: b, .. }) =
-                    (&tree, &split_bc)
-                {
-                    assert_eq!(a, b)
-                }
-                assert_eq!(
-                    split_bc.stats().models_checked,
-                    split_tree.stats().models_checked,
-                    "{}",
-                    ob.name
-                );
-                assert_eq!(
-                    split_bc.stats().orbits_pruned,
-                    split_tree.stats().orbits_pruned,
-                    "{}",
-                    ob.name
-                );
+                // A split execution driven in descending range order decides
+                // the same way (its counters may exceed the sequential
+                // scan's when ranges run before the deciding event is
+                // recorded).
+                let split = run_split(ob, scope, 7, &[6, 5, 4, 3, 2, 1, 0]);
+                assert_eq!(outcome(&split), expected, "{}", ob.name);
             }
         }
     }

@@ -27,11 +27,7 @@
 //! * workers publish verdicts through the portfolio's sharded
 //!   [`VerdictCache`](crate::portfolio::VerdictCache), keyed by the same
 //!   canonical hash, so duplicate work
-//!   is impossible even across scheduler runs sharing a cache — and because
-//!   the evaluator backend is part of that hash (via
-//!   [`Scope::fingerprint`](crate::Scope::fingerprint)), a cache shared
-//!   between a bytecode and a tree-walk run never crosses verdicts between
-//!   the two backends;
+//!   is impossible even across scheduler runs sharing a cache;
 //! * an optional [`ExitGuard`] per obligation group (the driver uses one per
 //!   testing method) reproduces the sequential early-exit semantics: once
 //!   the obligation at index `i` of a group fails, obligations of the same
@@ -81,9 +77,9 @@ use crate::verdict::Verdict;
 /// ArrayList obligations shatter into hundreds of stealable pieces.
 pub const DEFAULT_SPLIT_THRESHOLD: u64 = 32_768;
 
-/// The process-wide default split threshold:
-/// [`DEFAULT_SPLIT_THRESHOLD`] unless the `SEMCOMMUTE_SPLIT` environment
-/// variable holds a number when first consulted.
+/// The process-wide default split threshold: the `SEMCOMMUTE_SPLIT`
+/// environment variable, read once (see [`parse_split_threshold`]);
+/// [`DEFAULT_SPLIT_THRESHOLD`] when unset.
 ///
 /// The env override exists for the CI small-split leg: running the whole
 /// test suite with a much smaller threshold (every large search shatters
@@ -92,14 +88,39 @@ pub const DEFAULT_SPLIT_THRESHOLD: u64 = 32_768;
 /// tests additionally pin single-position thresholds explicitly. Verdicts
 /// must not depend on the threshold, so no fingerprint or cache key
 /// includes it.
+///
+/// # Panics
+///
+/// Panics at the first read if the variable holds a value
+/// [`parse_split_threshold`] rejects, so a mistyped setting cannot silently
+/// run the default.
 pub fn default_split_threshold() -> u64 {
     static DEFAULT: OnceLock<u64> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
-        std::env::var("SEMCOMMUTE_SPLIT")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_SPLIT_THRESHOLD)
+        parse_split_threshold(std::env::var("SEMCOMMUTE_SPLIT").ok().as_deref())
+            .unwrap_or_else(|e| panic!("{e}"))
     })
+}
+
+/// Parses a `SEMCOMMUTE_SPLIT` setting: unset selects
+/// [`DEFAULT_SPLIT_THRESHOLD`], a decimal number of unreduced candidates
+/// selects that threshold.
+///
+/// # Errors
+///
+/// Any other value, with a message naming the variable and the accepted
+/// values.
+pub fn parse_split_threshold(setting: Option<&str>) -> Result<u64, String> {
+    match setting {
+        None => Ok(DEFAULT_SPLIT_THRESHOLD),
+        Some(value) => value.parse().map_err(|_| {
+            format!(
+                "SEMCOMMUTE_SPLIT={value:?} is not recognised; accepted values: a decimal \
+                 number of unreduced candidates (for example 509), or unset for \
+                 {DEFAULT_SPLIT_THRESHOLD}"
+            )
+        }),
+    }
 }
 
 /// Early-exit flag shared by the obligations of one group (one generated
@@ -756,4 +777,23 @@ pub fn prove_all_scheduled_split(
     }
     report.errors = errors.into_inner().unwrap_or_else(|p| p.into_inner());
     QueueRun { verdicts, report }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn split_setting_parses_or_names_the_variable() {
+        assert_eq!(parse_split_threshold(None), Ok(DEFAULT_SPLIT_THRESHOLD));
+        assert_eq!(parse_split_threshold(Some("509")), Ok(509));
+        assert_eq!(parse_split_threshold(Some("1")), Ok(1));
+        for typo in ["5O9", "", "-1", "509 ", "1e3"] {
+            let err = parse_split_threshold(Some(typo)).unwrap_err();
+            assert!(
+                err.contains("SEMCOMMUTE_SPLIT") && err.contains("decimal number"),
+                "{err}"
+            );
+        }
+    }
 }

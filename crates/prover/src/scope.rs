@@ -2,9 +2,8 @@
 
 use std::sync::OnceLock;
 
-/// The process-wide default for [`Scope::orbit`]: `true` (orbit-canonical
-/// enumeration) unless the `SEMCOMMUTE_ORBIT` environment variable is set to
-/// `off`, `0`, or `false` when first consulted.
+/// The process-wide default for [`Scope::orbit`]: the `SEMCOMMUTE_ORBIT`
+/// environment variable, read once (see [`parse_orbit`]); on when unset.
 ///
 /// The env override exists for the CI oracle leg: running the *whole* test
 /// suite with the unreduced enumerator as the default is the cheapest way to
@@ -12,34 +11,35 @@ use std::sync::OnceLock;
 /// reduction is proved equivalent to. Tests that pin exact
 /// `models_checked` / `orbits_pruned` counts set the flag explicitly via
 /// [`Scope::with_orbit`] instead of relying on this default.
+///
+/// # Panics
+///
+/// Panics at the first read if the variable holds a value [`parse_orbit`]
+/// rejects, so a mistyped setting cannot silently run the default.
 pub fn default_orbit() -> bool {
     static DEFAULT: OnceLock<bool> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
-        !matches!(
-            std::env::var("SEMCOMMUTE_ORBIT").ok().as_deref(),
-            Some("off" | "0" | "false")
-        )
+        parse_orbit(std::env::var("SEMCOMMUTE_ORBIT").ok().as_deref())
+            .unwrap_or_else(|e| panic!("{e}"))
     })
 }
 
-/// The process-wide default for [`Scope::bytecode`]: `true` (flat register
-/// bytecode with batched, column-wise candidate evaluation) unless the
-/// `SEMCOMMUTE_BYTECODE` environment variable is set to `off`, `0`, or
-/// `false` when first consulted.
+/// Parses a `SEMCOMMUTE_ORBIT` setting: unset, `on`, `1` or `true` select
+/// the orbit-canonical enumerator, `off`, `0` or `false` the unreduced one.
 ///
-/// Like [`default_orbit`], the env override exists for the CI oracle leg:
-/// running the whole test suite with `SEMCOMMUTE_BYTECODE=off` re-validates
-/// every prover-dependent test against the tree-walk evaluator the bytecode
-/// backend is differentially tested against. Tests that compare the two
-/// backends select them explicitly via [`Scope::with_bytecode`].
-pub fn default_bytecode() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        !matches!(
-            std::env::var("SEMCOMMUTE_BYTECODE").ok().as_deref(),
-            Some("off" | "0" | "false")
-        )
-    })
+/// # Errors
+///
+/// Any other value, with a message naming the variable and the accepted
+/// values.
+pub fn parse_orbit(setting: Option<&str>) -> Result<bool, String> {
+    match setting {
+        None | Some("on" | "1" | "true") => Ok(true),
+        Some("off" | "0" | "false") => Ok(false),
+        Some(other) => Err(format!(
+            "SEMCOMMUTE_ORBIT={other:?} is not recognised; accepted values: on, off \
+             (or 1, 0, true, false)"
+        )),
+    }
 }
 
 /// The 128-bit mixing step shared by [`Scope::fingerprint`] and the
@@ -90,21 +90,6 @@ pub struct Scope {
     /// why split granularity and thread count never enter this fingerprint:
     /// they cannot change any verdict.
     pub orbit: bool,
-    /// Whether obligations are evaluated by the flat register **bytecode**
-    /// backend (`prover::bytecode`): each compiled obligation is lowered once
-    /// to a flat instruction program and candidates are checked in batches of
-    /// up to 256, column-wise, with boolean subprograms evaluated as 256-bit
-    /// lanes. `false` selects the tree-walk evaluator
-    /// (`prover::compiled::CompiledObligation::check`) — the bit-reproducible
-    /// oracle the bytecode backend is differentially tested against.
-    ///
-    /// The two backends are required to report identical verdicts, counter
-    /// models, `Unknown` reasons, and `models_checked` / `orbits_pruned`
-    /// counts; the flag is nonetheless part of [`Scope::fingerprint`] so a
-    /// cached verdict always records which evaluator produced it and a
-    /// backend bug can never leak across the differential harness's legs
-    /// through the verdict cache.
-    pub bytecode: bool,
 }
 
 impl Scope {
@@ -118,7 +103,6 @@ impl Scope {
             int_max: 5,
             max_models: 50_000_000,
             orbit: default_orbit(),
-            bytecode: default_bytecode(),
         }
     }
 
@@ -132,7 +116,6 @@ impl Scope {
             int_max: 4,
             max_models: 5_000_000,
             orbit: default_orbit(),
-            bytecode: default_bytecode(),
         }
     }
 
@@ -149,7 +132,6 @@ impl Scope {
             int_max: max_seq_len as i64 + 1,
             max_models: 200_000_000,
             orbit: default_orbit(),
-            bytecode: default_bytecode(),
         }
     }
 
@@ -173,10 +155,10 @@ impl Scope {
         self
     }
 
-    /// Returns a copy with the bytecode evaluation backend switched on or
-    /// off (`false` selects the tree-walk oracle evaluator).
-    pub fn with_bytecode(mut self, bytecode: bool) -> Scope {
-        self.bytecode = bytecode;
+    /// Returns `self` unchanged. Obligations always run on the bytecode
+    /// (`prover::bytecode`); the argument is ignored and the method is kept
+    /// only so that existing callers still build.
+    pub fn with_bytecode(self, _bytecode: bool) -> Scope {
         self
     }
 
@@ -202,12 +184,6 @@ impl Scope {
         // non-canonical candidate). The enumerator choice is therefore part
         // of the fingerprint, and cached verdicts never cross the two modes.
         h = mix128(h, self.orbit as u128);
-        // The evaluation backend is semantically transparent (the
-        // differential harness pins bit-identical verdicts), but keying the
-        // cache per backend means a backend bug can never propagate a wrong
-        // verdict into the other backend's runs — each leg of the harness
-        // answers only from verdicts its own evaluator produced.
-        h = mix128(h, self.bytecode as u128);
         h
     }
 }
@@ -279,10 +255,25 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_distinguishes_evaluation_backends() {
-        let bytecode = Scope::small().with_bytecode(true);
-        let tree = Scope::small().with_bytecode(false);
-        assert_ne!(bytecode.fingerprint(), tree.fingerprint());
-        assert_eq!(bytecode.with_bytecode(false), tree);
+    fn with_bytecode_is_inert() {
+        assert_eq!(Scope::small().with_bytecode(false), Scope::small());
+        assert_eq!(Scope::small().with_bytecode(true), Scope::small());
+    }
+
+    #[test]
+    fn orbit_setting_parses_or_names_the_variable() {
+        for on in [None, Some("on"), Some("1"), Some("true")] {
+            assert_eq!(parse_orbit(on), Ok(true), "{on:?}");
+        }
+        for off in ["off", "0", "false"] {
+            assert_eq!(parse_orbit(Some(off)), Ok(false), "{off}");
+        }
+        for typo in ["of", "OFF", "", "no"] {
+            let err = parse_orbit(Some(typo)).unwrap_err();
+            assert!(
+                err.contains("SEMCOMMUTE_ORBIT") && err.contains("on, off"),
+                "{err}"
+            );
+        }
     }
 }

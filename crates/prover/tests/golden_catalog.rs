@@ -6,10 +6,10 @@
 //! too. Every method verdict becomes one line: its kind, `models_checked`,
 //! `orbits_pruned`, and a 64-bit FNV-1a hash of the counter-model or the
 //! `Unknown` reason. The lines must equal the committed digest
-//! `tests/golden/catalog_verdicts.txt`, which was generated by the tree-walk
-//! evaluator and the bytecode evaluator alike before the tree walk was
-//! retired; `logic::eval` remains the reference the property tests check
-//! the bytecode against.
+//! `tests/golden/catalog_verdicts.txt`. The digest was generated by the
+//! slot-tree walk and the bytecode alike, which agreed line for line,
+//! before the tree walk was retired; `logic::eval` remains the reference
+//! the property tests check the bytecode against.
 //!
 //! A mismatch writes the new digest into the build's temporary directory
 //! and names the first line that differs.
@@ -44,14 +44,13 @@ fn line(out: &mut String, label: &str, verdict: &Verdict) {
     .unwrap();
 }
 
-fn catalog_digest(out: &mut String, orbit: bool, bytecode: bool) {
+fn catalog_digest(out: &mut String, orbit: bool) {
     writeln!(out, "# catalog seq_len=3 threads=1 orbit={orbit}").unwrap();
     let report = verify_catalog(&VerifyOptions {
         threads: 1,
         seq_len: 3,
         limit: None,
         orbit,
-        bytecode,
         ..VerifyOptions::default()
     });
     for interface in &report.interfaces {
@@ -63,9 +62,9 @@ fn catalog_digest(out: &mut String, orbit: bool, bytecode: bool) {
     }
 }
 
-fn sabotaged_digest(out: &mut String, orbit: bool, bytecode: bool) {
+fn sabotaged_digest(out: &mut String, orbit: bool) {
     writeln!(out, "# sabotaged Set contains/add orbit={orbit}").unwrap();
-    let portfolio = Portfolio::new(Scope::standard().with_orbit(orbit).with_bytecode(bytecode));
+    let portfolio = Portfolio::new(Scope::standard().with_orbit(orbit));
     let sabotaged = interface_catalog(InterfaceId::Set)
         .into_iter()
         .filter(|c| c.first.op == "contains" && c.second.op == "add");
@@ -80,13 +79,13 @@ fn sabotaged_digest(out: &mut String, orbit: bool, bytecode: bool) {
     }
 }
 
-fn digest(bytecode: bool) -> String {
+fn digest() -> String {
     let mut out = String::new();
     for orbit in [true, false] {
-        catalog_digest(&mut out, orbit, bytecode);
+        catalog_digest(&mut out, orbit);
     }
     for orbit in [true, false] {
-        sabotaged_digest(&mut out, orbit, bytecode);
+        sabotaged_digest(&mut out, orbit);
     }
     out
 }
@@ -120,8 +119,5 @@ fn assert_golden(name: &str, actual: &str) {
 
 #[test]
 fn catalog_verdicts_match_the_golden_digest() {
-    let bytecode = digest(true);
-    let tree = digest(false);
-    assert_eq!(bytecode, tree, "the two evaluators' digests differ");
-    assert_golden("catalog_verdicts.txt", &bytecode);
+    assert_golden("catalog_verdicts.txt", &digest());
 }

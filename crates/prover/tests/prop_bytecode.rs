@@ -1,7 +1,7 @@
 //! Property-based tests of the bytecode backend: random obligations built
 //! from every term shape — including ill-sorted subterms and oversized
-//! quantifier ranges — lower and execute exactly like the tree-walk
-//! reference evaluator, candidate by candidate; and the batched block
+//! quantifier ranges — lower and execute exactly like the reference
+//! evaluator `logic::eval`, candidate by candidate; and the batched block
 //! executor agrees with the scalar executor at *every* block size, so batch
 //! boundaries never change the deciding event, its counter-model, or its
 //! error message.
@@ -30,7 +30,6 @@ fn tiny_scope(orbit: bool) -> Scope {
         int_max: 1,
         max_models: 5_000_000,
         orbit,
-        bytecode: false,
     }
 }
 
@@ -191,22 +190,6 @@ enum Outcome {
     Error(u64, String),
 }
 
-/// The reference scan: the tree-walk evaluator, candidate by candidate.
-fn tree_scan(space: &InputSpace, compiled: &CompiledObligation) -> Outcome {
-    let mut it = space.iter();
-    let mut env = compiled.env();
-    let mut buf = Vec::new();
-    let mut seen = 0u64;
-    while it.next_values(&mut buf) {
-        match compiled.check(&mut buf, &mut env) {
-            Ok(None) => seen += 1,
-            Ok(Some(())) => return Outcome::Cex(seen, compiled.reconstruct(&env)),
-            Err(e) => return Outcome::Error(seen, e),
-        }
-    }
-    Outcome::Exhausted(seen)
-}
-
 /// Evaluates one candidate with the reference evaluator `logic::eval`:
 /// defines, hypotheses and the goal in the compiled step order (each
 /// hypothesis right after the last define it reads), with the compiled
@@ -313,23 +296,13 @@ proptest! {
     /// Lowering preserves the reference semantics exactly: over the whole
     /// candidate space the scalar bytecode executor reports the same
     /// deciding event — same candidate, same counter-model, same wrapped
-    /// error message — as the tree walk.
+    /// error message — as `logic::eval`.
     #[test]
-    fn scalar_execution_matches_the_tree_walk(ob in obligation(), orbit in proptest::bool::ANY) {
+    fn scalar_execution_matches_the_reference(ob in obligation(), orbit in proptest::bool::ANY) {
         let space = InputSpace::from_obligation(&ob, tiny_scope(orbit));
         prop_assume!(space.estimated_size() <= 2_000);
-        let compiled = CompiledObligation::compile(&ob, &space.var_order());
-        let program = Program::lower(&compiled);
-        prop_assert_eq!(tree_scan(&space, &compiled), scalar_scan(&space, &program));
-    }
-
-    /// The tree walk and `logic::eval` report the same deciding event.
-    #[test]
-    fn tree_walk_matches_the_reference_evaluator(ob in obligation(), orbit in proptest::bool::ANY) {
-        let space = InputSpace::from_obligation(&ob, tiny_scope(orbit));
-        prop_assume!(space.estimated_size() <= 2_000);
-        let compiled = CompiledObligation::compile(&ob, &space.var_order());
-        prop_assert_eq!(tree_scan(&space, &compiled), reference_scan(&space, &ob));
+        let program = Program::lower(&CompiledObligation::compile(&ob, &space.var_order()));
+        prop_assert_eq!(reference_scan(&space, &ob), scalar_scan(&space, &program));
     }
 
     /// Batch boundaries never change the deciding event: the block executor

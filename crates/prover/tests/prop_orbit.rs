@@ -32,7 +32,6 @@ fn tiny_scope(elem_padding: usize) -> Scope {
         int_max: 1,
         max_models: 5_000_000,
         orbit: true,
-        bytecode: false,
     }
 }
 

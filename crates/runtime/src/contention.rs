@@ -133,31 +133,47 @@ impl FallbackOptions {
         }
     }
 
-    /// Parses a `SEMCOMMUTE_FALLBACK` setting: `off` (or `0` / `false`)
-    /// disables the fallback, `aggressive` selects the stress preset, and
-    /// anything else — including unset — selects the production preset.
-    pub fn parse(setting: Option<&str>) -> FallbackOptions {
+    /// Parses a `SEMCOMMUTE_FALLBACK` setting: unset, `on`, `1` or `true`
+    /// select the production preset, `off`, `0` or `false` disable the
+    /// fallback, and `aggressive` selects the stress preset.
+    ///
+    /// # Errors
+    ///
+    /// Any other value, with a message naming the variable and the accepted
+    /// values.
+    pub fn parse(setting: Option<&str>) -> Result<FallbackOptions, String> {
         match setting {
-            Some("off" | "0" | "false") => FallbackOptions::off(),
-            Some("aggressive") => FallbackOptions::aggressive(),
-            _ => FallbackOptions::on(),
+            None | Some("on" | "1" | "true") => Ok(FallbackOptions::on()),
+            Some("off" | "0" | "false") => Ok(FallbackOptions::off()),
+            Some("aggressive") => Ok(FallbackOptions::aggressive()),
+            Some(other) => Err(format!(
+                "SEMCOMMUTE_FALLBACK={other:?} is not recognised; accepted values: on, off, \
+                 aggressive (or 1, 0, true, false)"
+            )),
         }
     }
 
     /// The process-wide default: the `SEMCOMMUTE_FALLBACK` environment
     /// variable, read once.
+    ///
+    /// # Panics
+    ///
+    /// Panics at the first read if the variable holds a value
+    /// [`parse`](FallbackOptions::parse) rejects, so a mistyped setting
+    /// cannot silently run the default.
     pub fn default_options() -> FallbackOptions {
         static DEFAULT: OnceLock<FallbackOptions> = OnceLock::new();
         *DEFAULT.get_or_init(|| {
             FallbackOptions::parse(std::env::var("SEMCOMMUTE_FALLBACK").ok().as_deref())
+                .unwrap_or_else(|e| panic!("{e}"))
         })
     }
 }
 
 /// Knobs of the retry backoff in [`SpeculativeRuntime::run`].
 ///
-/// The process-wide default is [`BackoffOptions::on`]; set
-/// `SEMCOMMUTE_BACKOFF=off` for the pre-backoff behavior (a bare
+/// The default runtime options use [`BackoffOptions::on`];
+/// [`BackoffOptions::off`] gives the pre-backoff behavior (a bare
 /// `yield_now` between attempts).
 ///
 /// [`SpeculativeRuntime::run`]: crate::SpeculativeRuntime::run
@@ -196,25 +212,6 @@ impl BackoffOptions {
             base: Duration::from_micros(10),
             cap: Duration::from_micros(500),
         }
-    }
-
-    /// Parses a `SEMCOMMUTE_BACKOFF` setting: `off` (or `0` / `false`)
-    /// disables backoff, anything else — including unset — selects the
-    /// production preset.
-    pub fn parse(setting: Option<&str>) -> BackoffOptions {
-        match setting {
-            Some("off" | "0" | "false") => BackoffOptions::off(),
-            _ => BackoffOptions::on(),
-        }
-    }
-
-    /// The process-wide default: the `SEMCOMMUTE_BACKOFF` environment
-    /// variable, read once.
-    pub fn default_options() -> BackoffOptions {
-        static DEFAULT: OnceLock<BackoffOptions> = OnceLock::new();
-        *DEFAULT.get_or_init(|| {
-            BackoffOptions::parse(std::env::var("SEMCOMMUTE_BACKOFF").ok().as_deref())
-        })
     }
 
     /// Waits between retry attempt `attempt` (0-based) and the next one,
@@ -511,17 +508,31 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn presets_parse_from_env_style_settings() {
-        assert!(!FallbackOptions::parse(Some("off")).enabled);
-        assert!(!FallbackOptions::parse(Some("0")).enabled);
+    fn fallback_setting_parses_or_names_the_variable() {
+        for on in [None, Some("on"), Some("1"), Some("true")] {
+            assert_eq!(
+                FallbackOptions::parse(on),
+                Ok(FallbackOptions::on()),
+                "{on:?}"
+            );
+        }
+        for off in ["off", "0", "false"] {
+            assert_eq!(
+                FallbackOptions::parse(Some(off)),
+                Ok(FallbackOptions::off())
+            );
+        }
         assert_eq!(
             FallbackOptions::parse(Some("aggressive")),
-            FallbackOptions::aggressive()
+            Ok(FallbackOptions::aggressive())
         );
-        assert_eq!(FallbackOptions::parse(None), FallbackOptions::on());
-        assert_eq!(FallbackOptions::parse(Some("on")), FallbackOptions::on());
-        assert!(!BackoffOptions::parse(Some("off")).enabled);
-        assert_eq!(BackoffOptions::parse(None), BackoffOptions::on());
+        for typo in ["agressive", "Off", "", "2"] {
+            let err = FallbackOptions::parse(Some(typo)).unwrap_err();
+            assert!(
+                err.contains("SEMCOMMUTE_FALLBACK") && err.contains("on, off, aggressive"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -211,12 +211,12 @@ pub struct RuntimeStats {
 /// Construction-time knobs of a [`SpeculativeRuntime`]
 /// (see [`SpeculativeRuntime::with_options`]).
 ///
-/// [`Default`] resolves every knob from its environment variable
-/// (`SEMCOMMUTE_ADMIT`, `SEMCOMMUTE_FALLBACK`, `SEMCOMMUTE_BACKOFF`), read
-/// once per process, with no fault plan attached.
+/// [`Default`] takes the fallback from `SEMCOMMUTE_FALLBACK` (read once per
+/// process), backoff on, and no fault plan.
 #[derive(Debug, Clone)]
 pub struct RuntimeOptions {
-    /// How admission evaluates between conditions (see [`AdmitBackend`]).
+    /// Ignored: admission always evaluates compiled programs (see
+    /// [`AdmitBackend`]). Kept so that existing struct literals still build.
     pub backend: AdmitBackend,
     /// The abort-rate-driven coarse-lock fallback (see [`FallbackOptions`]).
     pub fallback: FallbackOptions,
@@ -230,9 +230,9 @@ pub struct RuntimeOptions {
 impl Default for RuntimeOptions {
     fn default() -> RuntimeOptions {
         RuntimeOptions {
-            backend: AdmitBackend::default_backend(),
+            backend: AdmitBackend::Bytecode,
             fallback: FallbackOptions::default_options(),
-            backoff: BackoffOptions::default_options(),
+            backoff: BackoffOptions::on(),
             faults: None,
         }
     }
@@ -356,31 +356,16 @@ pub struct SpeculativeRuntime {
 }
 
 impl SpeculativeRuntime {
-    /// Wraps a concrete data structure for speculative access, with every
-    /// knob at its process-wide default (`SEMCOMMUTE_ADMIT`,
-    /// `SEMCOMMUTE_FALLBACK`, `SEMCOMMUTE_BACKOFF`).
+    /// Wraps a concrete data structure for speculative access, with
+    /// [`RuntimeOptions::default`].
     pub fn new(structure: AnyStructure) -> SpeculativeRuntime {
         SpeculativeRuntime::with_options(structure, RuntimeOptions::default())
     }
 
-    /// Wraps a concrete data structure for speculative access with an
-    /// explicit admission backend (see [`AdmitBackend`]). Under
-    /// [`AdmitBackend::Bytecode`] the between-condition catalog is compiled
-    /// to flat register programs, lazily, once per runtime — every clone of
-    /// this runtime shares the compiled cache. The remaining knobs keep
-    /// their process-wide defaults.
-    pub fn with_backend(structure: AnyStructure, backend: AdmitBackend) -> SpeculativeRuntime {
-        SpeculativeRuntime::with_options(
-            structure,
-            RuntimeOptions {
-                backend,
-                ..RuntimeOptions::default()
-            },
-        )
-    }
-
     /// Wraps a concrete data structure for speculative access with explicit
-    /// [`RuntimeOptions`].
+    /// [`RuntimeOptions`]. The between-condition catalog is compiled to flat
+    /// register programs, lazily, once per runtime — every clone of this
+    /// runtime shares the compiled cache.
     pub fn with_options(structure: AnyStructure, options: RuntimeOptions) -> SpeculativeRuntime {
         let interface = structure.interface();
         let structure_name = structure.name();
@@ -392,7 +377,7 @@ impl SpeculativeRuntime {
                 gate: ModeGate::new(),
                 op_ordinal: AtomicU64::new(0),
                 index: InFlightIndex::new(),
-                gatekeeper: CommutativityGatekeeper::with_backend(interface, options.backend),
+                gatekeeper: CommutativityGatekeeper::new(interface),
                 rollback: InverseRollback::new(interface),
                 options,
                 next_txn: AtomicU64::new(1),
@@ -533,12 +518,6 @@ impl SpeculativeRuntime {
     /// transactions.
     pub fn pending_operations(&self) -> usize {
         self.shared.index.len()
-    }
-
-    /// The admission backend this runtime's gatekeeper evaluates
-    /// commutativity conditions with.
-    pub fn admit_backend(&self) -> AdmitBackend {
-        self.shared.gatekeeper.backend()
     }
 }
 
@@ -1282,51 +1261,46 @@ mod tests {
         let list = |items: &[u32]| {
             AbstractState::List(items.iter().map(|&i| ElemId(i)).collect()).to_value()
         };
-        for backend in [AdmitBackend::Bytecode, AdmitBackend::Interp] {
-            let with = |name: &str| {
-                SpeculativeRuntime::with_backend(AnyStructure::by_name(name).unwrap(), backend)
-            };
+        let with = |name: &str| SpeculativeRuntime::new(AnyStructure::by_name(name).unwrap());
 
-            // remove(5) against a logged add(5) that inserted the element.
-            let rt = with("HashSet");
-            let shared = &rt.shared;
-            let logged = unseen_entry(&rt, "add", vec![Value::elem(5)], Value::Bool(true), None);
-            let remove = shared.gatekeeper.op_index("remove").unwrap();
-            let live = AbstractState::Set([ElemId(5)].into_iter().collect()).to_value();
-            match shared.check_against(&[logged], "remove", remove, &[Value::elem(5)], Some(&live))
-            {
-                Err(TxnError::Conflict(c)) => assert_eq!(c.op_pair(), ("remove", "add")),
-                other => panic!("{backend:?}: state-free conflict admitted: {other:?}"),
-            }
+        // remove(5) against a logged add(5) that inserted the element.
+        let rt = with("HashSet");
+        let shared = &rt.shared;
+        let logged = unseen_entry(&rt, "add", vec![Value::elem(5)], Value::Bool(true), None);
+        let remove = shared.gatekeeper.op_index("remove").unwrap();
+        let live = AbstractState::Set([ElemId(5)].into_iter().collect()).to_value();
+        match shared.check_against(&[logged], "remove", remove, &[Value::elem(5)], Some(&live)) {
+            Err(TxnError::Conflict(c)) => assert_eq!(c.op_pair(), ("remove", "add")),
+            other => panic!("state-free conflict admitted: {other:?}"),
+        }
 
-            // removeAt(0) against a logged get(3) over [1, 1, 1, 1, 1, 1, 10]:
-            // the captured pre-state certifies it, and so does a live state
-            // that still has the duplicate run; the live state the stale
-            // certificates of `tests/stale_certificates.rs` lead to does not.
-            let rt = with("ArrayList");
-            let shared = &rt.shared;
-            let logged = unseen_entry(
-                &rt,
-                "get",
-                vec![Value::Int(3)],
-                Value::elem(1),
-                Some(list(&[1, 1, 1, 1, 1, 1, 10])),
-            );
-            let remove_at = shared.gatekeeper.op_index("removeAt").unwrap();
-            let admit = |live: &Value| {
-                shared.check_against(
-                    std::slice::from_ref(&logged),
-                    "removeAt",
-                    remove_at,
-                    &[Value::Int(0)],
-                    Some(live),
-                )
-            };
-            assert_eq!(admit(&list(&[1, 1, 1, 1, 1, 10])), Ok(()), "{backend:?}");
-            match admit(&list(&[1, 1, 1, 1, 10])) {
-                Err(TxnError::Conflict(c)) => assert_eq!(c.op_pair(), ("removeAt", "get")),
-                other => panic!("{backend:?}: stale certificate admitted: {other:?}"),
-            }
+        // removeAt(0) against a logged get(3) over [1, 1, 1, 1, 1, 1, 10]:
+        // the captured pre-state certifies it, and so does a live state
+        // that still has the duplicate run; the live state the stale
+        // certificates of `tests/stale_certificates.rs` lead to does not.
+        let rt = with("ArrayList");
+        let shared = &rt.shared;
+        let logged = unseen_entry(
+            &rt,
+            "get",
+            vec![Value::Int(3)],
+            Value::elem(1),
+            Some(list(&[1, 1, 1, 1, 1, 1, 10])),
+        );
+        let remove_at = shared.gatekeeper.op_index("removeAt").unwrap();
+        let admit = |live: &Value| {
+            shared.check_against(
+                std::slice::from_ref(&logged),
+                "removeAt",
+                remove_at,
+                &[Value::Int(0)],
+                Some(live),
+            )
+        };
+        assert_eq!(admit(&list(&[1, 1, 1, 1, 1, 10])), Ok(()));
+        match admit(&list(&[1, 1, 1, 1, 10])) {
+            Err(TxnError::Conflict(c)) => assert_eq!(c.op_pair(), ("removeAt", "get")),
+            other => panic!("stale certificate admitted: {other:?}"),
         }
     }
 
@@ -1394,48 +1368,43 @@ mod tests {
             "put" => vec![Value::elem(key), Value::elem(key)],
             _ => vec![Value::elem(key)],
         };
-        for backend in [AdmitBackend::Bytecode, AdmitBackend::Interp] {
-            for (structure, insert, logged, probe) in cases {
-                let rt = SpeculativeRuntime::with_backend(
-                    AnyStructure::by_name(structure).unwrap(),
-                    backend,
-                );
-                rt.run(0, |txn| {
-                    (1..=PREFILL).try_for_each(|k| txn.execute(insert, &args(insert, k)).map(drop))
-                })
-                .unwrap();
-                let mut live = rt.begin();
-                live.execute(logged, &args(logged, 1)).unwrap();
-                assert!(rt.shared.gatekeeper.requires_pre_state(logged));
+        for (structure, insert, logged, probe) in cases {
+            let rt = SpeculativeRuntime::new(AnyStructure::by_name(structure).unwrap());
+            rt.run(0, |txn| {
+                (1..=PREFILL).try_for_each(|k| txn.execute(insert, &args(insert, k)).map(drop))
+            })
+            .unwrap();
+            let mut live = rt.begin();
+            live.execute(logged, &args(logged, 1)).unwrap();
+            assert!(rt.shared.gatekeeper.requires_pre_state(logged));
 
-                let mut next = rt.begin();
-                next.execute(probe, &args(probe, 2)).unwrap();
-                let before = mirror_nodes(&rt);
-                next.execute(insert, &args(insert, PREFILL + 1)).unwrap();
-                let fresh = mirror_nodes(&rt)
-                    .iter()
-                    .filter(|node| !before.contains(node))
-                    .count();
-                assert!(
-                    fresh <= 2,
-                    "{backend:?} {structure}: a live `{logged}` entry pinned the mirror \
-                     ({fresh} fresh nodes)"
-                );
+            let mut next = rt.begin();
+            next.execute(probe, &args(probe, 2)).unwrap();
+            let before = mirror_nodes(&rt);
+            next.execute(insert, &args(insert, PREFILL + 1)).unwrap();
+            let fresh = mirror_nodes(&rt)
+                .iter()
+                .filter(|node| !before.contains(node))
+                .count();
+            assert!(
+                fresh <= 2,
+                "{structure}: a live `{logged}` entry pinned the mirror \
+                 ({fresh} fresh nodes)"
+            );
 
-                let pinned = rt.shared.structure.lock().state_value().clone();
-                next.execute(insert, &args(insert, PREFILL + 2)).unwrap();
-                let copied = match (rt.shared.structure.lock().state_value(), &pinned) {
-                    (Value::Set(now), Value::Set(then)) => now.fresh_nodes_since(then),
-                    (Value::Map(now), Value::Map(then)) => now.fresh_nodes_since(then),
-                    other => panic!("mirror changed shape: {other:?}"),
-                };
-                assert!(
-                    copied >= 8,
-                    "{backend:?} {structure}: a pinned update copied only {copied} nodes"
-                );
-                next.commit();
-                live.commit();
-            }
+            let pinned = rt.shared.structure.lock().state_value().clone();
+            next.execute(insert, &args(insert, PREFILL + 2)).unwrap();
+            let copied = match (rt.shared.structure.lock().state_value(), &pinned) {
+                (Value::Set(now), Value::Set(then)) => now.fresh_nodes_since(then),
+                (Value::Map(now), Value::Map(then)) => now.fresh_nodes_since(then),
+                other => panic!("mirror changed shape: {other:?}"),
+            };
+            assert!(
+                copied >= 8,
+                "{structure}: a pinned update copied only {copied} nodes"
+            );
+            next.commit();
+            live.commit();
         }
     }
 }

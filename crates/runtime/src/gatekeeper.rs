@@ -1,33 +1,21 @@
 //! The commutativity gatekeeper: dynamic conflict detection using the
 //! verified between conditions.
 //!
-//! # Admission backends
+//! # Compiled admission
 //!
-//! The gatekeeper can evaluate a between condition two ways:
-//!
-//! * [`AdmitBackend::Bytecode`] (the default) compiles the condition formula
-//!   **once per runtime** into a flat register [`Program`] via
-//!   [`Program::lower_formula`] with a fixed slot layout — `s1`, `r1`, the
-//!   first operation's canonical argument names, then the second's — and
-//!   evaluates admissions through the program with reusable thread-local
-//!   register buffers. No `Model`, no `HashMap`, no term-tree walk on the
-//!   hot path.
-//! * [`AdmitBackend::Interp`] builds a fresh [`Model`] per check and walks
-//!   the term tree with [`eval_bool`] — the reference semantics, kept as the
-//!   differential oracle (`tests/diff_gatekeeper.rs` pins the two backends
-//!   against each other across the whole catalog).
+//! Each between condition is compiled **once per runtime** into a flat
+//! register [`Program`] via [`Program::lower_formula`] with a fixed slot
+//! layout — `s1`, `r1`, the first operation's canonical argument names, then
+//! the second's — and admissions evaluate through the program with reusable
+//! thread-local register buffers. No `Model`, no `HashMap`, no term-tree
+//! walk on the hot path. The program reproduces `logic::eval`'s verdicts
+//! and its error classes (`tests/diff_gatekeeper.rs` checks it against
+//! `eval_bool` across the whole catalog); only the wording of low-level
+//! evaluation errors may differ.
 //!
 //! Programs are compiled lazily on first use of each (logged-op,
 //! incoming-op) pair and shared across clones of the gatekeeper, so a
 //! runtime pays for exactly the pairs its workload exercises, once.
-//! Verdicts and the [`Conflict`] vs [`Evaluation`](AdmissionError::Evaluation)
-//! classification are identical under both backends; only the wording of
-//! low-level evaluation errors may differ (the compiled executor reports
-//! registers, the interpreter reports variable names).
-//!
-//! The `SEMCOMMUTE_ADMIT` environment variable (`bytecode` | `interp`)
-//! selects the process-wide default backend, mirroring the prover's
-//! `SEMCOMMUTE_BYTECODE` knob.
 //!
 //! # Two anchors per state-reading condition
 //!
@@ -57,7 +45,7 @@ use std::sync::{Arc, OnceLock};
 use semcommute_core::condition::names;
 use semcommute_core::{interface_catalog, CommutativityCondition, ConditionKind};
 use semcommute_logic::pvalue::{PMap, PSet};
-use semcommute_logic::{eval_bool, free_vars, Model, Term, Value};
+use semcommute_logic::{free_vars, Term, Value};
 use semcommute_prover::Program;
 use semcommute_spec::InterfaceId;
 
@@ -122,33 +110,15 @@ impl fmt::Display for AdmissionError {
     }
 }
 
-/// How the gatekeeper evaluates between conditions (see the module docs).
+/// How the gatekeeper evaluates between conditions: always through compiled
+/// register programs (see the module docs). The type and its one variant are
+/// kept only so that existing callers of
+/// [`CommutativityGatekeeper::with_backend`] and `RuntimeOptions` still
+/// build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmitBackend {
-    /// Flat register programs compiled once per runtime (the default).
+    /// Flat register programs compiled once per runtime.
     Bytecode,
-    /// The reference `Model`-building term-tree interpreter.
-    Interp,
-}
-
-impl AdmitBackend {
-    /// Parses a `SEMCOMMUTE_ADMIT` setting. `interp` (or `model` / `tree`)
-    /// selects the interpreter; anything else — including unset — selects the
-    /// compiled backend.
-    pub fn parse(setting: Option<&str>) -> AdmitBackend {
-        match setting {
-            Some("interp" | "model" | "tree") => AdmitBackend::Interp,
-            _ => AdmitBackend::Bytecode,
-        }
-    }
-
-    /// The process-wide default backend: the `SEMCOMMUTE_ADMIT` environment
-    /// variable, read once.
-    pub fn default_backend() -> AdmitBackend {
-        static DEFAULT: OnceLock<AdmitBackend> = OnceLock::new();
-        *DEFAULT
-            .get_or_init(|| AdmitBackend::parse(std::env::var("SEMCOMMUTE_ADMIT").ok().as_deref()))
-    }
 }
 
 /// Where each input slot of a compiled admission program gets its value from
@@ -173,12 +143,12 @@ enum SlotSrc {
 struct AdmissionProgram {
     program: Program,
     /// Per input slot: where its value comes from, and its canonical variable
-    /// name (for `unbound variable` error messages matching the interpreter).
+    /// name (for `unbound variable` error messages matching `logic::eval`).
     slots: Vec<(SlotSrc, String)>,
     /// Per input slot: whether the compiled program actually reads it.
     /// Unread slots take a placeholder; read-but-unavailable slots are
-    /// evaluation errors — exactly when the interpreter's `Model` lookup
-    /// would have failed.
+    /// evaluation errors — exactly when a `Model` lookup under `logic::eval`
+    /// would fail.
     reads: Vec<bool>,
     /// `reads[0]`: does the program read the pre-state slot `s1`?
     reads_initial: bool,
@@ -227,7 +197,7 @@ impl AdmissionProgram {
     /// provided it overrides the logged entry's captured pre-state as the
     /// `s1` binding (the re-anchored evaluation — see
     /// [`CommutativityGatekeeper::check_indexed_at`]). Errors are raw (the
-    /// caller prefixes the condition id, as the interpreter path does).
+    /// caller prefixes the condition id).
     fn eval(
         &self,
         logged: &LogEntry,
@@ -270,9 +240,8 @@ impl AdmissionProgram {
             };
             match found {
                 Some(v) => regs[slot] = v.clone(),
-                // The interpreter would not have inserted this name into the
-                // model, so its formula walk would fail the lookup; reproduce
-                // that error here.
+                // `logic::eval` would fail this variable's lookup; reproduce
+                // its error here.
                 None => return Err(format!("unbound variable `{name}`")),
             }
         }
@@ -392,10 +361,8 @@ fn restrict(state: &Value, keys: &[usize], args: &[Value]) -> Value {
 
 /// A between condition prepared for repeated run-time evaluation: the
 /// canonical argument-variable names are resolved against the interface
-/// specification once, and the formula's state requirements are precomputed,
-/// so the per-admission work is a handful of O(1) model insertions plus the
-/// formula walk (interpreter backend) or a slot fill plus a flat register
-/// program run (bytecode backend).
+/// specification once, so the per-admission work is a slot fill plus a flat
+/// register program run.
 #[derive(Debug, Clone)]
 struct Prepared {
     condition: CommutativityCondition,
@@ -403,9 +370,6 @@ struct Prepared {
     first_params: Vec<String>,
     /// Canonical names (`v2`, `k2`, …) for the second operation's arguments.
     second_params: Vec<String>,
-    /// Whether the formula mentions the initial state `s1` (syntactic
-    /// free-variable scan — the interpreter backend's projection).
-    needs_initial: bool,
     /// The compiled admission program, built lazily on first use and shared
     /// across clones of the gatekeeper (`Arc`): the once-per-runtime cache.
     program: Arc<OnceLock<AdmissionProgram>>,
@@ -437,14 +401,13 @@ impl Prepared {
 /// recorded-variant conditions test `r1` instead, so most operations log no
 /// state at all, and most of the rest log a one-entry slice of it.
 /// [`requires_pre_state`](CommutativityGatekeeper::requires_pre_state)
-/// answers whether anything is needed, from the same classification under
-/// both backends. The compiled programs read `s1` exactly where the
-/// syntactic scan finds it — `tests/diff_runtime.rs` asserts it pair by
-/// pair — so a bytecode check never finds a pre-state missing.
+/// answers whether anything is needed, from the same classification. The
+/// compiled programs read `s1` exactly where the syntactic scan finds it —
+/// `tests/diff_runtime.rs` asserts it pair by pair — so a check never finds
+/// a pre-state missing.
 #[derive(Debug, Clone)]
 pub struct CommutativityGatekeeper {
     interface: InterfaceId,
-    backend: AdmitBackend,
     /// Prepared between conditions for recorded variants, keyed by first
     /// operation, then second operation (two `&str` lookups, no allocation
     /// on the admission path).
@@ -466,14 +429,8 @@ pub struct CommutativityGatekeeper {
 }
 
 impl CommutativityGatekeeper {
-    /// Builds the gatekeeper for an interface from the verified catalog,
-    /// using the process-wide default admission backend.
+    /// Builds the gatekeeper for an interface from the verified catalog.
     pub fn new(interface: InterfaceId) -> CommutativityGatekeeper {
-        CommutativityGatekeeper::with_backend(interface, AdmitBackend::default_backend())
-    }
-
-    /// Builds the gatekeeper with an explicit admission backend.
-    pub fn with_backend(interface: InterfaceId, backend: AdmitBackend) -> CommutativityGatekeeper {
         let iface = semcommute_spec::interface_by_id(interface);
         let mut conditions: HashMap<String, HashMap<String, Prepared>> = HashMap::new();
         let mut captures_by_op: HashMap<String, PreStateCapture> = HashMap::new();
@@ -492,7 +449,6 @@ impl CommutativityGatekeeper {
                         .collect()
                 })
             };
-            let needs_initial = free_vars(&condition.formula).contains_key(names::INITIAL);
             let first_params = params(&condition.first.op, 1);
             captures_by_op
                 .entry(condition.first.op.clone())
@@ -501,7 +457,6 @@ impl CommutativityGatekeeper {
             let prepared = Prepared {
                 first_params,
                 second_params: params(&condition.second.op, 2),
-                needs_initial,
                 program: Arc::new(OnceLock::new()),
                 condition,
             };
@@ -532,7 +487,6 @@ impl CommutativityGatekeeper {
             .collect();
         CommutativityGatekeeper {
             interface,
-            backend,
             conditions,
             captures,
             ops,
@@ -540,14 +494,16 @@ impl CommutativityGatekeeper {
         }
     }
 
+    /// Same as [`new`](CommutativityGatekeeper::new): the backend argument
+    /// is ignored, since conditions always evaluate through compiled
+    /// programs. Kept only so that existing callers still build.
+    pub fn with_backend(interface: InterfaceId, _backend: AdmitBackend) -> CommutativityGatekeeper {
+        CommutativityGatekeeper::new(interface)
+    }
+
     /// The interface this gatekeeper serves.
     pub fn interface(&self) -> InterfaceId {
         self.interface
-    }
-
-    /// The admission backend this gatekeeper evaluates conditions with.
-    pub fn backend(&self) -> AdmitBackend {
-        self.backend
     }
 
     /// The between condition for an ordered operation pair.
@@ -576,10 +532,9 @@ impl CommutativityGatekeeper {
     }
 
     /// For one pair's condition, the two pre-state projections: does the
-    /// formula mention `s1` syntactically (interpreter backend), and does
-    /// the compiled program actually read the `s1` slot (bytecode backend)?
-    /// `None` if the pair is unknown. The differential harness asserts the
-    /// two always agree.
+    /// formula mention `s1` syntactically, and does the compiled program
+    /// actually read the `s1` slot? `None` if the pair is unknown. The
+    /// differential harness asserts the two always agree.
     pub fn pair_pre_state_projection(
         &self,
         first_op: &str,
@@ -588,14 +543,17 @@ impl CommutativityGatekeeper {
         self.conditions
             .get(first_op)
             .and_then(|seconds| seconds.get(second_op))
-            .map(|p| (p.needs_initial, p.program().reads_initial))
+            .map(|p| {
+                let syntactic = free_vars(&p.condition.formula).contains_key(names::INITIAL);
+                (syntactic, p.program().reads_initial)
+            })
     }
 
     /// Must a log entry for `op` (as the *first* operation of a later
     /// between check) carry the abstract pre-state?
     ///
     /// Returns `true` iff some between condition with `op` first reads the
-    /// initial state `s1`, under either backend — the same classification
+    /// initial state `s1` — the same classification
     /// [`capture_pre_state`](CommutativityGatekeeper::capture_pre_state)
     /// follows, so this is `true` exactly where it returns `Some`.
     pub fn requires_pre_state(&self, op: &str) -> bool {
@@ -647,9 +605,8 @@ impl CommutativityGatekeeper {
         self.eval_prepared(prepared, logged, incoming_args, None)
     }
 
-    /// Evaluates one prepared condition under this gatekeeper's backend.
-    /// `state`, when provided, overrides the logged entry's captured
-    /// pre-state as the `s1` binding.
+    /// Evaluates one prepared condition. `state`, when provided, overrides
+    /// the logged entry's captured pre-state as the `s1` binding.
     fn eval_prepared(
         &self,
         prepared: &Prepared,
@@ -657,37 +614,13 @@ impl CommutativityGatekeeper {
         incoming_args: &[Value],
         state: Option<&Value>,
     ) -> Result<bool, String> {
-        match self.backend {
-            AdmitBackend::Bytecode => {
-                let program = prepared.program();
-                if program.reads_initial && state.is_none() && logged.pre_state.is_none() {
-                    return Err(missing_pre_state(prepared, logged));
-                }
-                program
-                    .eval(logged, incoming_args, state)
-                    .map_err(|e| format!("{}: {e}", prepared.condition.id()))
-            }
-            AdmitBackend::Interp => {
-                let mut model = Model::new();
-                if prepared.needs_initial {
-                    match state.or(logged.pre_state.as_ref()) {
-                        Some(state) => model.insert(names::INITIAL, state.clone()),
-                        None => return Err(missing_pre_state(prepared, logged)),
-                    };
-                }
-                if let Some(result) = &logged.result {
-                    model.insert(names::RESULT1, result.clone());
-                }
-                for (name, value) in prepared.first_params.iter().zip(&logged.args) {
-                    model.insert(name.clone(), value.clone());
-                }
-                for (name, value) in prepared.second_params.iter().zip(incoming_args) {
-                    model.insert(name.clone(), value.clone());
-                }
-                eval_bool(&prepared.condition.formula, &model)
-                    .map_err(|e| format!("{}: {e}", prepared.condition.id()))
-            }
+        let program = prepared.program();
+        if program.reads_initial && state.is_none() && logged.pre_state.is_none() {
+            return Err(missing_pre_state(prepared, logged));
         }
+        program
+            .eval(logged, incoming_args, state)
+            .map_err(|e| format!("{}: {e}", prepared.condition.id()))
     }
 
     /// Resolves an operation name to its dense index in this gatekeeper's
@@ -762,7 +695,7 @@ impl CommutativityGatekeeper {
     ) -> Result<(), AdmissionError> {
         match &self.table[first as usize * self.ops.len() + second as usize] {
             Some(prepared) => {
-                if !self.reads_state(prepared) {
+                if !prepared.program().reads_initial {
                     return Ok(());
                 }
                 self.classify(prepared, logged, incoming_op, incoming_args, Some(state))
@@ -771,17 +704,6 @@ impl CommutativityGatekeeper {
                 "no condition for pair {}/{incoming_op}",
                 logged.op
             ))),
-        }
-    }
-
-    /// Does this pair's condition read the abstract state `s1` under the
-    /// active backend? (Compiled slot read for bytecode, syntactic
-    /// free-variable scan for the interpreter — the differential harness
-    /// pins the two projections against each other.)
-    fn reads_state(&self, prepared: &Prepared) -> bool {
-        match self.backend {
-            AdmitBackend::Interp => prepared.needs_initial,
-            AdmitBackend::Bytecode => prepared.program().reads_initial,
         }
     }
 
@@ -861,8 +783,8 @@ impl CommutativityGatekeeper {
     }
 }
 
-/// The entry carries no pre-state but the condition reads `s1` — the same
-/// message under both backends (it is raised before evaluation starts).
+/// The entry carries no pre-state but the condition reads `s1` (raised
+/// before evaluation starts).
 fn missing_pre_state(prepared: &Prepared, logged: &LogEntry) -> String {
     format!(
         "{}: entry for `{}` carries no pre-state but the condition reads `{}`",
@@ -877,8 +799,6 @@ mod tests {
     use super::*;
     use semcommute_logic::Sort;
     use semcommute_spec::AbstractState;
-
-    const BACKENDS: [AdmitBackend; 2] = [AdmitBackend::Bytecode, AdmitBackend::Interp];
 
     fn set_entry(txn: u64, op: &str, arg: u32, result: bool, state: &[u32]) -> LogEntry {
         LogEntry {
@@ -898,7 +818,7 @@ mod tests {
         // A program that reads `s1` and a later slot: with the later slot
         // unbound, evaluation fails after `s1` was already filled — the
         // buffer must still not keep the state handle.
-        let g = CommutativityGatekeeper::with_backend(InterfaceId::Set, AdmitBackend::Bytecode);
+        let g = CommutativityGatekeeper::new(InterfaceId::Set);
         let (first, second) = g
             .pairs()
             .into_iter()
@@ -938,118 +858,95 @@ mod tests {
             }
         }
         assert_eq!(g.interface(), InterfaceId::Set);
-        assert_eq!(g.backend(), AdmitBackend::default_backend());
-    }
-
-    #[test]
-    fn admit_backend_parsing() {
-        assert_eq!(AdmitBackend::parse(None), AdmitBackend::Bytecode);
-        assert_eq!(
-            AdmitBackend::parse(Some("bytecode")),
-            AdmitBackend::Bytecode
-        );
-        assert_eq!(AdmitBackend::parse(Some("interp")), AdmitBackend::Interp);
-        assert_eq!(AdmitBackend::parse(Some("model")), AdmitBackend::Interp);
-        assert_eq!(AdmitBackend::parse(Some("tree")), AdmitBackend::Interp);
     }
 
     #[test]
     fn pre_state_is_required_only_where_a_condition_reads_s1() {
-        for backend in BACKENDS {
-            let g = CommutativityGatekeeper::with_backend(InterfaceId::Set, backend);
-            // add/* and contains/* between conditions test `r1`, not `s1`.
-            assert!(!g.requires_pre_state("add"), "{backend:?}");
-            assert!(!g.requires_pre_state("contains"), "{backend:?}");
-            // remove/contains and size/add read `s1` membership.
-            assert!(g.requires_pre_state("remove"), "{backend:?}");
-            assert!(g.requires_pre_state("size"), "{backend:?}");
-        }
+        let g = CommutativityGatekeeper::new(InterfaceId::Set);
+        // add/* and contains/* between conditions test `r1`, not `s1`.
+        assert!(!g.requires_pre_state("add"));
+        assert!(!g.requires_pre_state("contains"));
+        // remove/contains and size/add read `s1` membership.
+        assert!(g.requires_pre_state("remove"));
+        assert!(g.requires_pre_state("size"));
     }
 
     #[test]
     fn distinct_elements_commute_same_element_conflicts() {
-        for backend in BACKENDS {
-            let g = CommutativityGatekeeper::with_backend(InterfaceId::Set, backend);
-            let mut log = OperationLog::new();
-            // Transaction 1 added element 5, which was new (result = true).
-            log.record(set_entry(1, "add", 5, true, &[]));
+        let g = CommutativityGatekeeper::new(InterfaceId::Set);
+        let mut log = OperationLog::new();
+        // Transaction 1 added element 5, which was new (result = true).
+        log.record(set_entry(1, "add", 5, true, &[]));
 
-            // Transaction 2 adding a different element commutes.
-            assert!(g.admit(&log, 2, "add", &[Value::elem(7)]).is_ok());
-            // Transaction 2 removing the element transaction 1 just added
-            // does not commute.
-            let conflict = match g.admit(&log, 2, "remove", &[Value::elem(5)]) {
-                Err(AdmissionError::Conflict(c)) => c,
-                other => panic!("expected a conflict, got {other:?}"),
-            };
-            assert_eq!(conflict.with_txn, 1);
-            assert_eq!(conflict.logged_op, "add");
-            assert!(conflict.to_string().contains("does not commute"));
-            // The same transaction is never in conflict with itself.
-            assert!(g.admit(&log, 1, "remove", &[Value::elem(5)]).is_ok());
-        }
+        // Transaction 2 adding a different element commutes.
+        assert!(g.admit(&log, 2, "add", &[Value::elem(7)]).is_ok());
+        // Transaction 2 removing the element transaction 1 just added
+        // does not commute.
+        let conflict = match g.admit(&log, 2, "remove", &[Value::elem(5)]) {
+            Err(AdmissionError::Conflict(c)) => c,
+            other => panic!("expected a conflict, got {other:?}"),
+        };
+        assert_eq!(conflict.with_txn, 1);
+        assert_eq!(conflict.logged_op, "add");
+        assert!(conflict.to_string().contains("does not commute"));
+        // The same transaction is never in conflict with itself.
+        assert!(g.admit(&log, 1, "remove", &[Value::elem(5)]).is_ok());
     }
 
     #[test]
     fn contains_conflicts_only_when_observation_would_change() {
-        for backend in BACKENDS {
-            let g = CommutativityGatekeeper::with_backend(InterfaceId::Set, backend);
-            let mut log = OperationLog::new();
-            // Transaction 1 observed that 3 was present (result = true, and 3
-            // was in the pre-state).
-            log.record(set_entry(1, "contains", 3, true, &[3]));
-            // Adding 3 again commutes (it was already present).
-            assert!(g.admit(&log, 2, "add", &[Value::elem(3)]).is_ok());
-            // Removing 3 would invalidate the observation.
-            assert!(g.admit(&log, 2, "remove", &[Value::elem(3)]).is_err());
-        }
+        let g = CommutativityGatekeeper::new(InterfaceId::Set);
+        let mut log = OperationLog::new();
+        // Transaction 1 observed that 3 was present (result = true, and 3
+        // was in the pre-state).
+        log.record(set_entry(1, "contains", 3, true, &[3]));
+        // Adding 3 again commutes (it was already present).
+        assert!(g.admit(&log, 2, "add", &[Value::elem(3)]).is_ok());
+        // Removing 3 would invalidate the observation.
+        assert!(g.admit(&log, 2, "remove", &[Value::elem(3)]).is_err());
     }
 
     #[test]
     fn map_gatekeeper_uses_key_based_conditions() {
-        for backend in BACKENDS {
-            let g = CommutativityGatekeeper::with_backend(InterfaceId::Map, backend);
-            let mut log = OperationLog::new();
-            log.record(LogEntry {
-                txn: 1,
-                op: "put".into(),
-                args: vec![Value::elem(1), Value::elem(10)],
-                result: Some(Value::null()),
-                pre_state: Some(AbstractState::Map(Default::default()).to_value()),
-            });
-            // A put to a different key commutes.
-            assert!(g
-                .admit(&log, 2, "put", &[Value::elem(2), Value::elem(20)])
-                .is_ok());
-            // A get of the same key does not.
-            assert!(matches!(
-                g.admit(&log, 2, "get", &[Value::elem(1)]),
-                Err(AdmissionError::Conflict(_))
-            ));
-        }
+        let g = CommutativityGatekeeper::new(InterfaceId::Map);
+        let mut log = OperationLog::new();
+        log.record(LogEntry {
+            txn: 1,
+            op: "put".into(),
+            args: vec![Value::elem(1), Value::elem(10)],
+            result: Some(Value::null()),
+            pre_state: Some(AbstractState::Map(Default::default()).to_value()),
+        });
+        // A put to a different key commutes.
+        assert!(g
+            .admit(&log, 2, "put", &[Value::elem(2), Value::elem(20)])
+            .is_ok());
+        // A get of the same key does not.
+        assert!(matches!(
+            g.admit(&log, 2, "get", &[Value::elem(1)]),
+            Err(AdmissionError::Conflict(_))
+        ));
     }
 
     #[test]
     fn unknown_pairs_are_evaluation_errors_not_conflicts() {
-        for backend in BACKENDS {
-            let g = CommutativityGatekeeper::with_backend(InterfaceId::Set, backend);
-            let mut log = OperationLog::new();
-            log.record(set_entry(1, "add", 5, true, &[]));
-            // An operation the catalog knows nothing about must fail loudly,
-            // not read as "does not commute".
-            let err = g
-                .admit(&log, 2, "frobnicate", &[Value::elem(5)])
-                .unwrap_err();
-            match err {
-                AdmissionError::Evaluation(msg) => {
-                    assert!(
-                        msg.contains("no condition for pair add/frobnicate"),
-                        "{msg}"
-                    );
-                }
-                AdmissionError::Conflict(_) => {
-                    panic!("evaluation failure misreported as conflict")
-                }
+        let g = CommutativityGatekeeper::new(InterfaceId::Set);
+        let mut log = OperationLog::new();
+        log.record(set_entry(1, "add", 5, true, &[]));
+        // An operation the catalog knows nothing about must fail loudly,
+        // not read as "does not commute".
+        let err = g
+            .admit(&log, 2, "frobnicate", &[Value::elem(5)])
+            .unwrap_err();
+        match err {
+            AdmissionError::Evaluation(msg) => {
+                assert!(
+                    msg.contains("no condition for pair add/frobnicate"),
+                    "{msg}"
+                );
+            }
+            AdmissionError::Conflict(_) => {
+                panic!("evaluation failure misreported as conflict")
             }
         }
     }
@@ -1065,41 +962,39 @@ mod tests {
     /// consumed the duplicate run, the same certificate must be refused.
     #[test]
     fn re_anchor_rejects_certificates_the_captured_pre_state_still_honors() {
-        for backend in BACKENDS {
-            let g = CommutativityGatekeeper::with_backend(InterfaceId::List, backend);
-            let logged = LogEntry {
-                txn: 1,
-                op: "get".into(),
-                args: vec![Value::Int(3)],
-                result: Some(Value::elem(1)),
-                pre_state: Some(list_state(&[1, 1, 1, 1, 1, 1, 10])),
-            };
-            let incoming = [Value::Int(0)];
-            let first = g.op_index("get").unwrap();
-            let second = g.op_index("removeAt").unwrap();
-            let at = |live: &[u32]| {
-                g.check_indexed_at(
-                    first,
-                    &logged,
-                    second,
-                    "removeAt",
-                    &incoming,
-                    &list_state(live),
-                )
-            };
-            // Against the capture: s1[3] = s1[4], one shift is harmless.
-            assert!(g.check_entry(&logged, "removeAt", &incoming).is_ok());
-            // Re-anchored at a live state that still has the duplicate run:
-            // also fine.
-            assert!(at(&[1, 1, 1, 1, 1, 10]).is_ok());
-            // Re-anchored at a live state where one more shift moves the 10
-            // into the observed slot: conflict — even though the pre-state
-            // check (above) still passes.
-            assert!(matches!(
-                at(&[1, 1, 1, 1, 10]),
-                Err(AdmissionError::Conflict(_))
-            ));
-        }
+        let g = CommutativityGatekeeper::new(InterfaceId::List);
+        let logged = LogEntry {
+            txn: 1,
+            op: "get".into(),
+            args: vec![Value::Int(3)],
+            result: Some(Value::elem(1)),
+            pre_state: Some(list_state(&[1, 1, 1, 1, 1, 1, 10])),
+        };
+        let incoming = [Value::Int(0)];
+        let first = g.op_index("get").unwrap();
+        let second = g.op_index("removeAt").unwrap();
+        let at = |live: &[u32]| {
+            g.check_indexed_at(
+                first,
+                &logged,
+                second,
+                "removeAt",
+                &incoming,
+                &list_state(live),
+            )
+        };
+        // Against the capture: s1[3] = s1[4], one shift is harmless.
+        assert!(g.check_entry(&logged, "removeAt", &incoming).is_ok());
+        // Re-anchored at a live state that still has the duplicate run:
+        // also fine.
+        assert!(at(&[1, 1, 1, 1, 1, 10]).is_ok());
+        // Re-anchored at a live state where one more shift moves the 10
+        // into the observed slot: conflict — even though the pre-state
+        // check (above) still passes.
+        assert!(matches!(
+            at(&[1, 1, 1, 1, 10]),
+            Err(AdmissionError::Conflict(_))
+        ));
     }
 
     /// Pairs whose condition never reads `s1` have a single anchor: the
@@ -1107,23 +1002,21 @@ mod tests {
     /// must not re-deliver (or contradict) the pre-state verdict.
     #[test]
     fn re_anchor_is_a_no_op_for_state_free_pairs() {
-        for backend in BACKENDS {
-            let g = CommutativityGatekeeper::with_backend(InterfaceId::Set, backend);
-            // add/remove between conditions test `r1`, not `s1`: removing
-            // the element a live transaction just inserted conflicts…
-            let logged = set_entry(1, "add", 5, true, &[]);
-            assert!(matches!(
-                g.check_entry(&logged, "remove", &[Value::elem(5)]),
-                Err(AdmissionError::Conflict(_))
-            ));
-            // …but the *re-anchor* admits vacuously, whatever the state.
-            let state = AbstractState::Set(Default::default()).to_value();
-            let first = g.op_index("add").unwrap();
-            let second = g.op_index("remove").unwrap();
-            assert!(g
-                .check_indexed_at(first, &logged, second, "remove", &[Value::elem(5)], &state)
-                .is_ok());
-        }
+        let g = CommutativityGatekeeper::new(InterfaceId::Set);
+        // add/remove between conditions test `r1`, not `s1`: removing
+        // the element a live transaction just inserted conflicts…
+        let logged = set_entry(1, "add", 5, true, &[]);
+        assert!(matches!(
+            g.check_entry(&logged, "remove", &[Value::elem(5)]),
+            Err(AdmissionError::Conflict(_))
+        ));
+        // …but the *re-anchor* admits vacuously, whatever the state.
+        let state = AbstractState::Set(Default::default()).to_value();
+        let first = g.op_index("add").unwrap();
+        let second = g.op_index("remove").unwrap();
+        assert!(g
+            .check_indexed_at(first, &logged, second, "remove", &[Value::elem(5)], &state)
+            .is_ok());
     }
 
     /// A placeholder value of the given sort, for building well-formed log
@@ -1141,7 +1034,7 @@ mod tests {
         }
     }
 
-    /// Table-driven over **all** interfaces and both backends: for every
+    /// Table-driven over **all** interfaces: for every
     /// catalog pair whose condition reads `s1`, a log entry without a
     /// pre-state must classify as a (non-retryable) evaluation error, never
     /// as a conflict. Driving this from the catalog itself means an interface
@@ -1159,38 +1052,36 @@ mod tests {
                         .collect()
                 })
             };
-            for backend in BACKENDS {
-                let g = CommutativityGatekeeper::with_backend(interface, backend);
-                for (first, second) in g.pairs() {
-                    let (needs_s1, _) = g.pair_pre_state_projection(&first, &second).unwrap();
-                    if !needs_s1 {
-                        continue;
-                    }
-                    let mut log = OperationLog::new();
-                    log.record(LogEntry {
-                        txn: 1,
-                        op: first.clone(),
-                        args: args_of(&first),
-                        result: iface
-                            .op(&first)
-                            .and_then(|s| s.result_sort)
-                            .map(default_value),
-                        pre_state: None, // the condition reads s1 — unusable.
-                    });
-                    match g.admit(&log, 2, &second, &args_of(&second)) {
-                        Err(AdmissionError::Evaluation(msg)) => {
-                            assert!(
-                                msg.contains("carries no pre-state"),
-                                "{interface}/{first}/{second} ({backend:?}): {msg}"
-                            );
-                        }
-                        other => panic!(
-                            "{interface}/{first}/{second} ({backend:?}): expected an \
-                             evaluation error, got {other:?}"
-                        ),
-                    }
-                    exercised += 1;
+            let g = CommutativityGatekeeper::new(interface);
+            for (first, second) in g.pairs() {
+                let (needs_s1, _) = g.pair_pre_state_projection(&first, &second).unwrap();
+                if !needs_s1 {
+                    continue;
                 }
+                let mut log = OperationLog::new();
+                log.record(LogEntry {
+                    txn: 1,
+                    op: first.clone(),
+                    args: args_of(&first),
+                    result: iface
+                        .op(&first)
+                        .and_then(|s| s.result_sort)
+                        .map(default_value),
+                    pre_state: None, // the condition reads s1 — unusable.
+                });
+                match g.admit(&log, 2, &second, &args_of(&second)) {
+                    Err(AdmissionError::Evaluation(msg)) => {
+                        assert!(
+                            msg.contains("carries no pre-state"),
+                            "{interface}/{first}/{second}: {msg}"
+                        );
+                    }
+                    other => panic!(
+                        "{interface}/{first}/{second}: expected an \
+                         evaluation error, got {other:?}"
+                    ),
+                }
+                exercised += 1;
             }
         }
         assert!(

@@ -1,23 +1,23 @@
-//! Backend-differential harness for the admission gatekeeper.
+//! Compiled admission against the reference semantics.
 //!
-//! The compiled admission backend ([`AdmitBackend::Bytecode`]) must be
-//! observationally equivalent to the `Model`-building interpreter
-//! ([`AdmitBackend::Interp`]) — same admit/deny verdicts *and* the same
-//! [`AdmissionError::Conflict`] vs [`AdmissionError::Evaluation`]
-//! classification, which the executor's retry policy depends on. For every
-//! catalog (interface, op-pair) this harness feeds both backends randomized
-//! log entries and incoming arguments — well-formed ones, entries with the
-//! pre-state or the recorded result missing, entries with truncated argument
-//! lists, ill-sorted arguments, and unknown operations — and asserts the
-//! outcomes classify identically (conflicts additionally compare equal
-//! field-by-field; error *messages* may differ, the interpreter names
-//! variables where the compiled executor names slots).
+//! The gatekeeper evaluates between conditions through compiled register
+//! programs. For every catalog (interface, op-pair) this harness feeds it
+//! randomized log entries and incoming arguments — well-formed ones, entries
+//! with the pre-state or the recorded result missing, entries with truncated
+//! argument lists, ill-sorted arguments, and unknown operations — and checks
+//! each outcome against [`eval_bool`] on a [`Model`] the test builds itself
+//! from the same entry: the same admit/deny verdict, the same [`Conflict`],
+//! and an [`AdmissionError::Evaluation`] exactly where the reference cannot
+//! evaluate the condition (the executor's retry policy depends on that
+//! classification). Error *messages* are compared by class only: the
+//! compiled executor wraps them with a region prefix.
 
-use semcommute_logic::{ElemId, Sort, Value};
+use semcommute_core::condition::names;
+use semcommute_logic::{eval_bool, free_vars, ElemId, Model, Sort, Value};
 use semcommute_runtime::{
-    AdmissionError, AdmitBackend, CommutativityGatekeeper, LogEntry, OperationLog,
+    AdmissionError, CommutativityGatekeeper, Conflict, LogEntry, OperationLog,
 };
-use semcommute_spec::InterfaceId;
+use semcommute_spec::{InterfaceId, InterfaceSpec};
 
 /// Deterministic xorshift64* generator — no external crates, reproducible
 /// failures.
@@ -84,9 +84,9 @@ fn random_any_value(rng: &mut XorShift) -> Value {
 }
 
 /// Random arguments for `op`: usually well-sorted and complete, sometimes
-/// truncated, sometimes with an ill-sorted entry — the compiled and
-/// interpreted evaluators must classify the malformed cases identically too.
-fn random_args(rng: &mut XorShift, iface: &semcommute_spec::InterfaceSpec, op: &str) -> Vec<Value> {
+/// truncated, sometimes with an ill-sorted entry — the malformed cases must
+/// classify as the reference does too.
+fn random_args(rng: &mut XorShift, iface: &InterfaceSpec, op: &str) -> Vec<Value> {
     let Some(spec) = iface.op(op) else {
         return Vec::new();
     };
@@ -108,12 +108,7 @@ fn random_args(rng: &mut XorShift, iface: &semcommute_spec::InterfaceSpec, op: &
 }
 
 /// A randomized log entry for `op` as executed by `txn`.
-fn random_entry(
-    rng: &mut XorShift,
-    iface: &semcommute_spec::InterfaceSpec,
-    txn: u64,
-    op: &str,
-) -> LogEntry {
+fn random_entry(rng: &mut XorShift, iface: &InterfaceSpec, txn: u64, op: &str) -> LogEntry {
     let result = iface.op(op).and_then(|spec| spec.result_sort).map(|sort| {
         if rng.chance(5) {
             random_any_value(rng)
@@ -131,13 +126,12 @@ fn random_entry(
     }
 }
 
-/// Collapses an admission outcome for comparison: verdicts and conflicts
-/// must match exactly; evaluation errors must match as a *class* (their
-/// messages legitimately differ between backends).
+/// An admission outcome for comparison: verdicts and conflicts must match
+/// exactly; evaluation errors must match as a *class*.
 #[derive(Debug, PartialEq)]
 enum Outcome {
     Admitted,
-    Conflict(semcommute_runtime::Conflict),
+    Conflict(Conflict),
     Evaluation,
 }
 
@@ -149,25 +143,91 @@ fn outcome(result: Result<(), AdmissionError>) -> Outcome {
     }
 }
 
-/// For every catalog pair of every interface: randomized single entries,
-/// checked through both backends, must classify identically.
+/// The canonical argument names (`v1`, `k2`, …) of `op` as operation
+/// `which` of a pair.
+fn params(iface: &InterfaceSpec, op: &str, which: usize) -> Vec<String> {
+    iface.op(op).map_or_else(Vec::new, |spec| {
+        spec.params
+            .iter()
+            .map(|(formal, _)| names::arg(formal, which))
+            .collect()
+    })
+}
+
+/// The reference outcome of checking `incoming_op(incoming)` against one
+/// logged entry: the pair's condition evaluated by [`eval_bool`] on a model
+/// binding `s1` to the entry's pre-state (when the formula mentions it),
+/// `r1` to its recorded result, and the canonical argument names to the
+/// arguments present.
+fn reference(
+    g: &CommutativityGatekeeper,
+    iface: &InterfaceSpec,
+    logged: &LogEntry,
+    incoming_op: &str,
+    incoming: &[Value],
+) -> Outcome {
+    let Some(condition) = g.condition(&logged.op, incoming_op) else {
+        return Outcome::Evaluation;
+    };
+    let mut model = Model::new();
+    if free_vars(&condition.formula).contains_key(names::INITIAL) {
+        match &logged.pre_state {
+            Some(state) => model.insert(names::INITIAL, state.clone()),
+            None => return Outcome::Evaluation,
+        };
+    }
+    if let Some(result) = &logged.result {
+        model.insert(names::RESULT1, result.clone());
+    }
+    for (name, value) in params(iface, &logged.op, 1).into_iter().zip(&logged.args) {
+        model.insert(name, value.clone());
+    }
+    for (name, value) in params(iface, incoming_op, 2).into_iter().zip(incoming) {
+        model.insert(name, value.clone());
+    }
+    match eval_bool(&condition.formula, &model) {
+        Ok(true) => Outcome::Admitted,
+        Ok(false) => Outcome::Conflict(Conflict {
+            with_txn: logged.txn,
+            logged_op: logged.op.clone(),
+            incoming_op: incoming_op.to_string(),
+        }),
+        Err(_) => Outcome::Evaluation,
+    }
+}
+
+/// The reference outcome of admitting `incoming_op(incoming)` for `txn`:
+/// the first entry of another transaction that does not admit it decides.
+fn reference_admit(
+    g: &CommutativityGatekeeper,
+    iface: &InterfaceSpec,
+    log: &OperationLog,
+    txn: u64,
+    incoming_op: &str,
+    incoming: &[Value],
+) -> Outcome {
+    log.entries_of_others(txn)
+        .map(|logged| reference(g, iface, logged, incoming_op, incoming))
+        .find(|o| *o != Outcome::Admitted)
+        .unwrap_or(Outcome::Admitted)
+}
+
+/// For every catalog pair of every interface: randomized single entries
+/// classify exactly as the reference does.
 #[test]
-fn compiled_and_interpreted_admission_agree_on_every_catalog_pair() {
+fn compiled_admission_agrees_with_the_reference_on_every_catalog_pair() {
     for interface in InterfaceId::ALL {
         let iface = &semcommute_spec::interface_by_id(interface);
-        let bytecode = CommutativityGatekeeper::with_backend(interface, AdmitBackend::Bytecode);
-        let interp = CommutativityGatekeeper::with_backend(interface, AdmitBackend::Interp);
-        assert_eq!(bytecode.pairs(), interp.pairs(), "{interface}");
-        for (first, second) in bytecode.pairs() {
+        let g = CommutativityGatekeeper::new(interface);
+        for (first, second) in g.pairs() {
             let mut rng =
                 XorShift::new(0xfeed_face ^ (interface as u64) << 48 ^ seed_of(&first, &second));
             for case in 0..200 {
                 let logged = random_entry(&mut rng, iface, 1, &first);
                 let incoming = random_args(&mut rng, iface, &second);
-                let fast = outcome(bytecode.check_entry(&logged, &second, &incoming));
-                let slow = outcome(interp.check_entry(&logged, &second, &incoming));
                 assert_eq!(
-                    fast, slow,
+                    outcome(g.check_entry(&logged, &second, &incoming)),
+                    reference(&g, iface, &logged, &second, &incoming),
                     "{interface}: {first}/{second} case {case} diverged on entry {logged:?} \
                      with incoming args {incoming:?}"
                 );
@@ -186,21 +246,20 @@ fn seed_of(first: &str, second: &str) -> u64 {
 }
 
 /// Multi-entry logs: `admit` scans entries in order and stops at the first
-/// non-admission, so identical per-entry classification must make the whole
-/// `admit` call agree too — checked directly here with mixed-op logs.
+/// non-admission, so it must agree with the reference scan over mixed-op
+/// logs too.
 #[test]
 fn admit_over_randomized_multi_entry_logs_agrees() {
     for interface in InterfaceId::ALL {
         let iface = &semcommute_spec::interface_by_id(interface);
-        let bytecode = CommutativityGatekeeper::with_backend(interface, AdmitBackend::Bytecode);
-        let interp = CommutativityGatekeeper::with_backend(interface, AdmitBackend::Interp);
+        let g = CommutativityGatekeeper::new(interface);
         let firsts: Vec<String> = {
-            let mut ops: Vec<String> = bytecode.pairs().into_iter().map(|(f, _)| f).collect();
+            let mut ops: Vec<String> = g.pairs().into_iter().map(|(f, _)| f).collect();
             ops.dedup();
             ops
         };
         let seconds: Vec<String> = {
-            let mut ops: Vec<String> = bytecode.pairs().into_iter().map(|(_, s)| s).collect();
+            let mut ops: Vec<String> = g.pairs().into_iter().map(|(_, s)| s).collect();
             ops.sort();
             ops.dedup();
             ops
@@ -216,11 +275,9 @@ fn admit_over_randomized_multi_entry_logs_agrees() {
             let incoming_op = &seconds[rng.below(seconds.len() as u64) as usize];
             let incoming = random_args(&mut rng, iface, incoming_op);
             let txn = rng.below(4) + 1;
-            let fast = outcome(bytecode.admit(&log, txn, incoming_op, &incoming));
-            let slow = outcome(interp.admit(&log, txn, incoming_op, &incoming));
             assert_eq!(
-                fast,
-                slow,
+                outcome(g.admit(&log, txn, incoming_op, &incoming)),
+                reference_admit(&g, iface, &log, txn, incoming_op, &incoming),
                 "{interface} case {case}: admit of `{incoming_op}` by txn {txn} diverged \
                  over log {:?}",
                 log.entries()
@@ -229,49 +286,44 @@ fn admit_over_randomized_multi_entry_logs_agrees() {
     }
 }
 
-/// The error paths must classify identically as well: operations the catalog
-/// does not know (either side of the pair) are evaluation errors, never
-/// conflicts, under both backends.
+/// Operations the catalog does not know (either side of the pair) are
+/// evaluation errors, never conflicts.
 #[test]
-fn unknown_pairs_classify_as_evaluation_errors_under_both_backends() {
-    for backend in [AdmitBackend::Bytecode, AdmitBackend::Interp] {
-        let g = CommutativityGatekeeper::with_backend(InterfaceId::Set, backend);
-        let mut log = OperationLog::new();
-        log.record(LogEntry {
-            txn: 1,
-            op: "add".into(),
-            args: vec![Value::elem(5)],
-            result: Some(Value::Bool(true)),
-            pre_state: None,
-        });
-        // Unknown incoming operation.
-        assert!(matches!(
-            g.admit(&log, 2, "frobnicate", &[Value::elem(5)]),
-            Err(AdmissionError::Evaluation(_))
-        ));
-        // Unknown logged operation.
-        let mut log = OperationLog::new();
-        log.record(LogEntry {
-            txn: 1,
-            op: "frobnicate".into(),
-            args: vec![],
-            result: None,
-            pre_state: None,
-        });
-        assert!(matches!(
-            g.admit(&log, 2, "add", &[Value::elem(5)]),
-            Err(AdmissionError::Evaluation(_))
-        ));
-    }
+fn unknown_pairs_classify_as_evaluation_errors() {
+    let g = CommutativityGatekeeper::new(InterfaceId::Set);
+    let mut log = OperationLog::new();
+    log.record(LogEntry {
+        txn: 1,
+        op: "add".into(),
+        args: vec![Value::elem(5)],
+        result: Some(Value::Bool(true)),
+        pre_state: None,
+    });
+    // Unknown incoming operation.
+    assert!(matches!(
+        g.admit(&log, 2, "frobnicate", &[Value::elem(5)]),
+        Err(AdmissionError::Evaluation(_))
+    ));
+    // Unknown logged operation.
+    let mut log = OperationLog::new();
+    log.record(LogEntry {
+        txn: 1,
+        op: "frobnicate".into(),
+        args: vec![],
+        result: None,
+        pre_state: None,
+    });
+    assert!(matches!(
+        g.admit(&log, 2, "add", &[Value::elem(5)]),
+        Err(AdmissionError::Evaluation(_))
+    ));
 }
 
-/// The missing-pre-state path raises the identical message under both
-/// backends — it is detected before evaluation starts, from each backend's
-/// own pre-state projection.
+/// The missing-pre-state path is detected before evaluation starts and
+/// names the condition, the logged operation and `s1`.
 #[test]
-fn missing_pre_state_message_is_identical_across_backends() {
-    let bytecode = CommutativityGatekeeper::with_backend(InterfaceId::Set, AdmitBackend::Bytecode);
-    let interp = CommutativityGatekeeper::with_backend(InterfaceId::Set, AdmitBackend::Interp);
+fn missing_pre_state_message_names_the_condition() {
+    let g = CommutativityGatekeeper::new(InterfaceId::Set);
     let entry = LogEntry {
         txn: 1,
         op: "size".into(),
@@ -279,24 +331,13 @@ fn missing_pre_state_message_is_identical_across_backends() {
         result: Some(Value::Int(0)),
         pre_state: None, // size/add reads s1 — this entry is unusable.
     };
-    let msg = |g: &CommutativityGatekeeper| match g.check_entry(&entry, "add", &[Value::elem(1)]) {
+    let msg = match g.check_entry(&entry, "add", &[Value::elem(1)]) {
         Err(AdmissionError::Evaluation(m)) => m,
         other => panic!("expected an evaluation error, got {other:?}"),
     };
-    assert_eq!(msg(&bytecode), msg(&interp));
-}
-
-/// `SEMCOMMUTE_ADMIT` selects the process-wide default backend. The parse is
-/// pure (tested exhaustively in the gatekeeper's unit tests); here we pin
-/// that default-constructed gatekeepers and runtimes actually use it.
-#[test]
-fn default_backend_follows_the_process_wide_knob() {
-    let expected = AdmitBackend::parse(std::env::var("SEMCOMMUTE_ADMIT").ok().as_deref());
-    assert_eq!(AdmitBackend::default_backend(), expected);
-    let g = CommutativityGatekeeper::new(InterfaceId::Map);
-    assert_eq!(g.backend(), expected);
-    let rt = semcommute_runtime::SpeculativeRuntime::new(
-        semcommute_runtime::AnyStructure::by_name("HashSet").unwrap(),
+    let id = g.condition("size", "add").unwrap().id();
+    assert_eq!(
+        msg,
+        format!("{id}: entry for `size` carries no pre-state but the condition reads `s1`")
     );
-    assert_eq!(rt.admit_backend(), expected);
 }

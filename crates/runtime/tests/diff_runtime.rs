@@ -18,7 +18,8 @@
 //!
 //! The workload size is tunable for nightly-style soak runs via the
 //! `SEMCOMMUTE_STRESS_ITERS` environment variable (transactions per thread,
-//! default 40).
+//! default 40; any value other than a positive decimal number fails the
+//! run).
 //!
 //! Since PR 10 the matrix also crosses the contention-management fallback:
 //! the base legs inherit the process-wide `SEMCOMMUTE_FALLBACK` default (so
@@ -33,8 +34,8 @@ use std::sync::{Arc, Mutex};
 
 use semcommute_logic::Value;
 use semcommute_runtime::{
-    AdmitBackend, AnyStructure, BackoffOptions, CoarseLockRuntime, CommutativityGatekeeper,
-    FallbackOptions, FaultPlan, RuntimeOptions, SpeculativeRuntime, TxnError,
+    AnyStructure, BackoffOptions, CoarseLockRuntime, CommutativityGatekeeper, FallbackOptions,
+    FaultPlan, RuntimeOptions, SpeculativeRuntime, TxnError,
 };
 use semcommute_spec::InterfaceId;
 
@@ -62,10 +63,35 @@ impl XorShift {
 }
 
 fn iterations() -> u64 {
-    std::env::var("SEMCOMMUTE_STRESS_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40)
+    parse_stress_iters(std::env::var("SEMCOMMUTE_STRESS_ITERS").ok().as_deref())
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Parses a `SEMCOMMUTE_STRESS_ITERS` setting: unset selects 40
+/// transactions per thread, a positive decimal number that many.
+fn parse_stress_iters(setting: Option<&str>) -> Result<u64, String> {
+    match setting {
+        None => Ok(40),
+        Some(value) => value.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
+            format!(
+                "SEMCOMMUTE_STRESS_ITERS={value:?} is not recognised; accepted values: a \
+                 positive decimal number of transactions per thread, or unset for 40"
+            )
+        }),
+    }
+}
+
+#[test]
+fn stress_iters_setting_parses_or_names_the_variable() {
+    assert_eq!(parse_stress_iters(None), Ok(40));
+    assert_eq!(parse_stress_iters(Some("400")), Ok(400));
+    for typo in ["4OO", "", "0", "-1", "400 "] {
+        let err = parse_stress_iters(Some(typo)).unwrap_err();
+        assert!(
+            err.contains("SEMCOMMUTE_STRESS_ITERS") && err.contains("positive decimal"),
+            "{err}"
+        );
+    }
 }
 
 /// A random operation valid for the interface. Keys are drawn from a small
@@ -118,16 +144,9 @@ struct Committed {
 }
 
 /// Runs the random workload at the given thread count and checks every
-/// differential property, under the given admission backend.
-fn differential(structure_name: &str, threads: u64, backend: AdmitBackend) {
-    differential_with(
-        structure_name,
-        threads,
-        RuntimeOptions {
-            backend,
-            ..RuntimeOptions::default()
-        },
-    );
+/// differential property.
+fn differential(structure_name: &str, threads: u64) {
+    differential_with(structure_name, threads, RuntimeOptions::default());
 }
 
 /// [`differential`] with fully explicit [`RuntimeOptions`] — the fallback
@@ -239,10 +258,8 @@ fn differential_with(
 }
 
 fn differential_all_thread_counts(structure_name: &str) {
-    for backend in [AdmitBackend::Bytecode, AdmitBackend::Interp] {
-        for threads in [1, 4, 8] {
-            differential(structure_name, threads, backend);
-        }
+    for threads in [1, 4, 8] {
+        differential(structure_name, threads);
     }
 }
 
@@ -316,30 +333,29 @@ fn differential_across_mode_transitions(structure_name: &str, threads: u64) {
     assert!((1..=24).contains(&fired), "fired {fired} forced conflicts");
 }
 
-/// The executor decides what to capture from one syntactic scan under both
-/// backends, so the compiled programs' actual `s1` slot reads have to agree
-/// with it pair by pair across the full catalog: a compiled program reading
-/// `s1` where the scan found none would meet an entry without a pre-state.
+/// The executor decides what to capture from one syntactic scan, so the
+/// compiled programs' actual `s1` slot reads have to agree with it pair by
+/// pair across the full catalog: a compiled program reading `s1` where the
+/// scan found none would meet an entry without a pre-state.
 #[test]
 fn requires_pre_state_projections_agree_across_the_catalog() {
     for interface in InterfaceId::ALL {
-        let bytecode = CommutativityGatekeeper::with_backend(interface, AdmitBackend::Bytecode);
-        let interp = CommutativityGatekeeper::with_backend(interface, AdmitBackend::Interp);
-        assert_eq!(bytecode.pairs(), interp.pairs(), "{interface}");
-        for (first, second) in bytecode.pairs() {
-            let (syntactic, compiled) =
-                bytecode.pair_pre_state_projection(&first, &second).unwrap();
+        let g = CommutativityGatekeeper::new(interface);
+        for (first, second) in g.pairs() {
+            let (syntactic, compiled) = g.pair_pre_state_projection(&first, &second).unwrap();
             assert_eq!(
                 syntactic, compiled,
                 "{interface}: {first}/{second}: syntactic s1 projection and compiled \
                  slot-read projection disagree"
             );
-            // And the per-operation projection the executor consults follows.
-            assert_eq!(
-                bytecode.requires_pre_state(&first),
-                interp.requires_pre_state(&first),
-                "{interface}: requires_pre_state(`{first}`) differs between backends"
-            );
+            // And the per-operation projection the executor consults
+            // follows.
+            if syntactic {
+                assert!(
+                    g.requires_pre_state(&first),
+                    "{interface}: `{first}` reads s1 against `{second}` but captures nothing"
+                );
+            }
         }
     }
 }

@@ -7,9 +7,10 @@
 //! error or a dispatch error, and every commit with its ticket, so a line
 //! fixes both the admission verdict sequence and the commit-ticket order.
 //! The lines must equal the committed digest
-//! `tests/golden/admission_schedules.txt`, which was generated by the
-//! `Model`-building interpreter and the compiled admission programs alike
-//! before the interpreter was retired.
+//! `tests/golden/admission_schedules.txt`. The digest was generated by a
+//! `Model`-building `eval_bool` interpreter and by the compiled admission
+//! programs alike, which agreed line for line, before the interpreter was
+//! retired.
 //!
 //! A mismatch writes the new digest into the build's temporary directory
 //! and names the first line that differs.
@@ -91,11 +92,11 @@ struct Open {
 }
 
 /// Runs one seeded schedule and returns its digest line.
-fn schedule(structure: &str, seed: u64, backend: AdmitBackend) -> String {
+fn schedule(structure: &str, seed: u64) -> String {
     let rt = SpeculativeRuntime::with_options(
         AnyStructure::by_name(structure).unwrap(),
         RuntimeOptions {
-            backend,
+            backend: AdmitBackend::Bytecode,
             fallback: FallbackOptions::off(),
             backoff: BackoffOptions::off(),
             faults: None,
@@ -115,7 +116,7 @@ fn schedule(structure: &str, seed: u64, backend: AdmitBackend) -> String {
 
     let width = 2 + rng.below(2) as usize;
     let mut open: Vec<Option<Open>> = (0..width).map(|_| None).collect();
-    let mut next_label = 0;
+    let mut labels = 0..;
     for _ in 0..STEPS {
         let slot = &mut open[rng.below(width as u64) as usize];
         let Some(current) = slot.as_mut() else {
@@ -123,11 +124,10 @@ fn schedule(structure: &str, seed: u64, backend: AdmitBackend) -> String {
                 .map(|_| random_op(&mut rng, interface))
                 .collect();
             *slot = Some(Open {
-                label: next_label,
+                label: labels.next().unwrap(),
                 txn: rt.begin(),
                 script,
             });
-            next_label += 1;
             continue;
         };
         let label = current.label;
@@ -159,11 +159,11 @@ fn schedule(structure: &str, seed: u64, backend: AdmitBackend) -> String {
     out
 }
 
-fn digest(backend: AdmitBackend) -> String {
+fn digest() -> String {
     let mut out = String::new();
     for structure in ["Accumulator", "HashSet", "HashTable", "ArrayList"] {
         for seed in 0..SCHEDULES {
-            out.push_str(&schedule(structure, seed, backend));
+            out.push_str(&schedule(structure, seed));
             out.push('\n');
         }
     }
@@ -199,11 +199,5 @@ fn assert_golden(name: &str, actual: &str) {
 
 #[test]
 fn admission_schedules_match_the_golden_digest() {
-    let compiled = digest(AdmitBackend::Bytecode);
-    let interp = digest(AdmitBackend::Interp);
-    assert_eq!(
-        compiled, interp,
-        "the two admission backends' digests differ"
-    );
-    assert_golden("admission_schedules.txt", &compiled);
+    assert_golden("admission_schedules.txt", &digest());
 }

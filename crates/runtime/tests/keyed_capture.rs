@@ -3,8 +3,8 @@
 //! operation's own arguments records the pre-state restricted to those keys
 //! instead of the whole state.
 //!
-//! Two things are pinned here, under both admission backends, through
-//! what [`CommutativityGatekeeper::capture_pre_state`] returns:
+//! Two things are pinned here, through what
+//! [`CommutativityGatekeeper::capture_pre_state`] returns:
 //!
 //! * the classification itself — which operations capture a keyed slice of
 //!   a multi-entry state, which the whole state, which nothing; and
@@ -14,10 +14,8 @@
 //!   `s1` bound to the whole state and to the restriction.
 
 use semcommute_logic::{ElemId, Sort, Value};
-use semcommute_runtime::{AdmitBackend, CommutativityGatekeeper, LogEntry};
+use semcommute_runtime::{CommutativityGatekeeper, LogEntry};
 use semcommute_spec::{InterfaceId, InterfaceSpec};
-
-const BACKENDS: [AdmitBackend; 2] = [AdmitBackend::Bytecode, AdmitBackend::Interp];
 
 /// Deterministic xorshift64* generator — no external crates, reproducible
 /// failures.
@@ -92,76 +90,74 @@ fn is_keyed(g: &CommutativityGatekeeper, iface: &InterfaceSpec, op: &str) -> boo
 
 #[test]
 fn capture_classification_is_pinned() {
-    for backend in BACKENDS {
-        let set_iface = semcommute_spec::interface_by_id(InterfaceId::Set);
-        let set = CommutativityGatekeeper::with_backend(InterfaceId::Set, backend);
-        let all = saturated(Sort::Set);
-        let capture =
-            |op: &str, args: &[Value]| set.capture_pre_state(set.op_index(op).unwrap(), args, &all);
-        // `remove` reads `v1 : s1` — key `v1`; `add`/`contains` test `r1`
-        // instead; `size` queries `s1` at the incoming operation's argument.
-        let two = [Value::elem(2)];
-        assert_eq!(capture("remove", &two), Some(Value::set_of([ElemId(2)])));
+    let set_iface = semcommute_spec::interface_by_id(InterfaceId::Set);
+    let set = CommutativityGatekeeper::new(InterfaceId::Set);
+    let all = saturated(Sort::Set);
+    let capture =
+        |op: &str, args: &[Value]| set.capture_pre_state(set.op_index(op).unwrap(), args, &all);
+    // `remove` reads `v1 : s1` — key `v1`; `add`/`contains` test `r1`
+    // instead; `size` queries `s1` at the incoming operation's argument.
+    let two = [Value::elem(2)];
+    assert_eq!(capture("remove", &two), Some(Value::set_of([ElemId(2)])));
+    assert_eq!(
+        capture("remove", &[Value::elem(9)]),
+        Some(Value::set_of([]))
+    );
+    assert_eq!(capture("add", &two), None);
+    assert_eq!(capture("contains", &two), None);
+    assert_eq!(capture("size", &[]), Some(all.clone()));
+    assert!(is_keyed(&set, &set_iface, "remove"));
+
+    let map = CommutativityGatekeeper::new(InterfaceId::Map);
+    let all = saturated(Sort::Map);
+    let capture =
+        |op: &str, args: &[Value]| map.capture_pre_state(map.op_index(op).unwrap(), args, &all);
+    // `put` reads `s1.get(k1)` / `s1.containsKey(k1)`, `remove` reads
+    // `s1.containsKey(k1)`: key `k1`, never the value — `put(2, 3)`
+    // keeps key 2 only, although 3 is a key of the state too.
+    let key_two = Value::map_of([(ElemId(2), ElemId(3))]);
+    let put = [Value::elem(2), Value::elem(3)];
+    assert_eq!(capture("put", &put), Some(key_two.clone()));
+    assert_eq!(capture("remove", &[Value::elem(2)]), Some(key_two));
+    assert_eq!(capture("get", &[Value::elem(2)]), None);
+    assert_eq!(capture("containsKey", &[Value::elem(2)]), None);
+    assert_eq!(capture("size", &[]), Some(all.clone()));
+
+    // Sequence positions cannot be restricted to keys: every ArrayList
+    // operation that needs the pre-state at all needs all of it.
+    let list_iface = semcommute_spec::interface_by_id(InterfaceId::List);
+    let list = CommutativityGatekeeper::new(InterfaceId::List);
+    let all = saturated(Sort::Seq);
+    let mut rng = XorShift(0x1157);
+    for spec in &list_iface.ops {
+        let args = random_args(&mut rng, &list_iface, &spec.name);
+        let idx = list.op_index(&spec.name).unwrap();
+        let expected = list.requires_pre_state(&spec.name).then(|| all.clone());
         assert_eq!(
-            capture("remove", &[Value::elem(9)]),
-            Some(Value::set_of([]))
+            list.capture_pre_state(idx, &args, &all),
+            expected,
+            "List/{}",
+            spec.name
         );
-        assert_eq!(capture("add", &two), None);
-        assert_eq!(capture("contains", &two), None);
-        assert_eq!(capture("size", &[]), Some(all.clone()));
-        assert!(is_keyed(&set, &set_iface, "remove"));
+    }
 
-        let map = CommutativityGatekeeper::with_backend(InterfaceId::Map, backend);
-        let all = saturated(Sort::Map);
-        let capture =
-            |op: &str, args: &[Value]| map.capture_pre_state(map.op_index(op).unwrap(), args, &all);
-        // `put` reads `s1.get(k1)` / `s1.containsKey(k1)`, `remove` reads
-        // `s1.containsKey(k1)`: key `k1`, never the value — `put(2, 3)`
-        // keeps key 2 only, although 3 is a key of the state too.
-        let key_two = Value::map_of([(ElemId(2), ElemId(3))]);
-        let put = [Value::elem(2), Value::elem(3)];
-        assert_eq!(capture("put", &put), Some(key_two.clone()));
-        assert_eq!(capture("remove", &[Value::elem(2)]), Some(key_two));
-        assert_eq!(capture("get", &[Value::elem(2)]), None);
-        assert_eq!(capture("containsKey", &[Value::elem(2)]), None);
-        assert_eq!(capture("size", &[]), Some(all.clone()));
-
-        // Sequence positions cannot be restricted to keys: every ArrayList
-        // operation that needs the pre-state at all needs all of it.
-        let list_iface = semcommute_spec::interface_by_id(InterfaceId::List);
-        let list = CommutativityGatekeeper::with_backend(InterfaceId::List, backend);
-        let all = saturated(Sort::Seq);
-        let mut rng = XorShift(0x1157);
-        for spec in &list_iface.ops {
-            let args = random_args(&mut rng, &list_iface, &spec.name);
-            let idx = list.op_index(&spec.name).unwrap();
-            let expected = list.requires_pre_state(&spec.name).then(|| all.clone());
+    // Ops no condition reads `s1` for capture nothing, on every
+    // interface; and the classification agrees with `requires_pre_state`.
+    for interface in InterfaceId::ALL {
+        let iface = semcommute_spec::interface_by_id(interface);
+        let g = CommutativityGatekeeper::new(interface);
+        let state = saturated(iface.state_sort);
+        for spec in &iface.ops {
+            let args = random_args(&mut rng, &iface, &spec.name);
+            let idx = g.op_index(&spec.name).unwrap();
             assert_eq!(
-                list.capture_pre_state(idx, &args, &all),
-                expected,
-                "List/{}",
+                g.capture_pre_state(idx, &args, &state).is_some(),
+                g.requires_pre_state(&spec.name),
+                "{interface}/{}",
                 spec.name
             );
         }
-
-        // Ops no condition reads `s1` for capture nothing, on every
-        // interface; and the classification agrees with `requires_pre_state`.
-        for interface in InterfaceId::ALL {
-            let iface = semcommute_spec::interface_by_id(interface);
-            let g = CommutativityGatekeeper::with_backend(interface, backend);
-            let state = saturated(iface.state_sort);
-            for spec in &iface.ops {
-                let args = random_args(&mut rng, &iface, &spec.name);
-                let idx = g.op_index(&spec.name).unwrap();
-                assert_eq!(
-                    g.capture_pre_state(idx, &args, &state).is_some(),
-                    g.requires_pre_state(&spec.name),
-                    "{interface}/{}",
-                    spec.name
-                );
-            }
-            assert!(!g.requires_pre_state("frobnicate"));
-        }
+        assert!(!g.requires_pre_state("frobnicate"));
     }
 }
 
@@ -189,50 +185,47 @@ fn keyed_capture_preserves_every_verdict_across_the_catalog() {
     let mut exercised = 0usize;
     for interface in InterfaceId::ALL {
         let iface = semcommute_spec::interface_by_id(interface);
-        for backend in BACKENDS {
-            let g = CommutativityGatekeeper::with_backend(interface, backend);
-            for (first, second) in g.pairs() {
-                if !is_keyed(&g, &iface, &first) {
-                    continue;
-                }
-                let first_idx = g.op_index(&first).unwrap();
-                let result_sort = iface.op(&first).and_then(|spec| spec.result_sort);
-                for _ in 0..DRAWS {
-                    let full = random_value(&mut rng, iface.state_sort);
-                    let args = random_args(&mut rng, &iface, &first);
-                    let result = result_sort.map(|sort| random_value(&mut rng, sort));
-                    let restricted = g.capture_pre_state(first_idx, &args, &full).unwrap();
-                    let slice_len = match &restricted {
-                        Value::Set(set) => set.len(),
-                        Value::Map(map) => map.len(),
-                        other => panic!("{interface}/{first}: keyed capture {other:?}"),
-                    };
-                    // Every keyed operation in the catalog has one key.
-                    assert!(
-                        slice_len <= 1,
-                        "{interface}/{first}: {restricted:?} is not a one-key slice"
-                    );
-                    let entry = |pre_state: Value| LogEntry {
-                        txn: 1,
-                        op: first.clone(),
-                        args: args.clone(),
-                        result: result.clone(),
-                        pre_state: Some(pre_state),
-                    };
-                    let incoming = random_args(&mut rng, &iface, &second);
-                    let on_full = g.check_entry(&entry(full.clone()), &second, &incoming);
-                    let on_slice = g.check_entry(&entry(restricted.clone()), &second, &incoming);
-                    assert_eq!(
-                        on_full, on_slice,
-                        "{interface}/{first}/{second} ({backend:?}): s1 = {full:?} vs \
-                         {restricted:?}, args {args:?}, incoming {incoming:?}"
-                    );
-                    exercised += 1;
-                }
+        let g = CommutativityGatekeeper::new(interface);
+        for (first, second) in g.pairs() {
+            if !is_keyed(&g, &iface, &first) {
+                continue;
+            }
+            let first_idx = g.op_index(&first).unwrap();
+            let result_sort = iface.op(&first).and_then(|spec| spec.result_sort);
+            for _ in 0..DRAWS {
+                let full = random_value(&mut rng, iface.state_sort);
+                let args = random_args(&mut rng, &iface, &first);
+                let result = result_sort.map(|sort| random_value(&mut rng, sort));
+                let restricted = g.capture_pre_state(first_idx, &args, &full).unwrap();
+                let slice_len = match &restricted {
+                    Value::Set(set) => set.len(),
+                    Value::Map(map) => map.len(),
+                    other => panic!("{interface}/{first}: keyed capture {other:?}"),
+                };
+                // Every keyed operation in the catalog has one key.
+                assert!(
+                    slice_len <= 1,
+                    "{interface}/{first}: {restricted:?} is not a one-key slice"
+                );
+                let entry = |pre_state: Value| LogEntry {
+                    txn: 1,
+                    op: first.clone(),
+                    args: args.clone(),
+                    result: result.clone(),
+                    pre_state: Some(pre_state),
+                };
+                let incoming = random_args(&mut rng, &iface, &second);
+                let on_full = g.check_entry(&entry(full.clone()), &second, &incoming);
+                let on_slice = g.check_entry(&entry(restricted.clone()), &second, &incoming);
+                assert_eq!(
+                    on_full, on_slice,
+                    "{interface}/{first}/{second}: s1 = {full:?} vs \
+                     {restricted:?}, args {args:?}, incoming {incoming:?}"
+                );
+                exercised += 1;
             }
         }
     }
-    // Set remove/* and Map put/*, remove/* — four and ten pairs — under two
-    // backends.
-    assert_eq!(exercised, (4 + 10) * 2 * DRAWS);
+    // Set remove/* and Map put/*, remove/* — four and ten pairs.
+    assert_eq!(exercised, (4 + 10) * DRAWS);
 }

@@ -6,7 +6,7 @@
 //! including error *strings* (modulo the compiled executor's
 //! `"evaluating goal:"` region prefix) — and the compiled program's input
 //! reads must coincide with the formula's free variables, so the compiled
-//! backend reads `s1` exactly where the gatekeeper's syntactic
+//! program reads `s1` exactly where the gatekeeper's syntactic
 //! `requires_pre_state` classification captures a pre-state. A second
 //! test drives many programs through one shared register buffer in shuffled
 //! order and checks the results against fresh-buffer evaluations: register
@@ -252,8 +252,8 @@ fn random_valuation(rng: &mut XorShift, vocab: &[(String, Sort)]) -> Vec<Value> 
         .collect()
 }
 
-/// Evaluates through the reference interpreter, with the model built the way
-/// the gatekeeper builds it (slot order, later inserts win).
+/// Evaluates through the reference interpreter, with the model binding the
+/// admission slots in slot order (later inserts win).
 fn reference(formula: &Term, vocab: &[(String, Sort)], values: &[Value]) -> Result<bool, String> {
     let mut model = Model::new();
     for ((name, _), value) in vocab.iter().zip(values) {
