@@ -159,26 +159,48 @@ fn bool_expr() -> BoxedStrategy<Term> {
 }
 
 /// A random obligation: an optional bool define (consumed by the goal), an
-/// optional hypothesis (exercising the input-only precondition short
-/// circuit), and a goal.
+/// optional input-only hypothesis (exercising the precondition short
+/// circuit), an optional hypothesis over the define (scheduled after it,
+/// and — when declared first — holding the input-only one back too), and a
+/// goal.
 fn obligation() -> impl Strategy<Value = Obligation> {
     (
-        (bool_expr(), bool_expr(), bool_expr()),
-        (proptest::bool::ANY, proptest::bool::ANY),
+        (bool_expr(), bool_expr(), bool_expr(), bool_expr()),
+        (
+            proptest::bool::ANY,
+            proptest::bool::ANY,
+            proptest::bool::ANY,
+            proptest::bool::ANY,
+        ),
     )
-        .prop_map(|((b1, b2, b3), (use_define, use_hyp))| {
-            let mut ob = Obligation::new("prop_bytecode");
-            let goal = if use_define {
-                ob = ob.define("d1", b1);
-                and2(var_bool("d1"), b3)
-            } else {
-                b3
-            };
-            if use_hyp {
-                ob = ob.assume(b2);
-            }
-            ob.goal(goal)
-        })
+        .prop_map(
+            |((b1, b2, b3, b4), (use_define, use_hyp, hyp_on_define, define_hyp_first))| {
+                let mut ob = Obligation::new("prop_bytecode");
+                let goal = if use_define {
+                    ob = ob.define("d1", b1);
+                    and2(var_bool("d1"), b3)
+                } else {
+                    b3
+                };
+                let mut hypotheses = Vec::new();
+                if use_hyp {
+                    hypotheses.push(b2);
+                }
+                if use_define && hyp_on_define {
+                    let on_define = or2(not(var_bool("d1")), b4);
+                    let at = if define_hyp_first {
+                        0
+                    } else {
+                        hypotheses.len()
+                    };
+                    hypotheses.insert(at, on_define);
+                }
+                for h in hypotheses {
+                    ob = ob.assume(h);
+                }
+                ob.goal(goal)
+            },
+        )
 }
 
 /// The outcome of a whole-space scan: how many candidates were cleanly
