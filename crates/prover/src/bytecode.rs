@@ -136,7 +136,8 @@ enum Instr {
         ctx: &'static str,
     },
     /// A read of a slot that was never bound: always errors with the
-    /// reference `"unbound slot {slot}"` message.
+    /// reference `"unbound variable `{name}`"` message (see
+    /// [`Program::unbound`]).
     Unbound {
         slot: u32,
     },
@@ -281,6 +282,9 @@ pub struct Program {
     /// input slot this holds the define's register, matching the reference
     /// evaluator's overwritten environment slot.
     named: Vec<(String, R)>,
+    /// Slot → variable name for every slot an [`Instr::Unbound`] reads;
+    /// empty for an obligation whose variables are all bound.
+    unbound_names: Vec<(u32, String)>,
     reg_count: usize,
     input_count: usize,
 }
@@ -662,15 +666,36 @@ impl Program {
             .enumerate()
             .filter_map(|(slot, name)| lw.slot_reg[slot].map(|r| (name.clone(), r)))
             .collect();
+        let instrs = lw.sinks.pop().expect("main sink");
+        let unbound_names = instrs
+            .iter()
+            .chain(lw.bodies.iter().flatten())
+            .filter_map(|instr| match instr {
+                Instr::Unbound { slot } => Some((*slot, ob.slot_names[*slot as usize].clone())),
+                _ => None,
+            })
+            .collect();
         Program {
-            instrs: lw.sinks.pop().expect("main sink"),
+            instrs,
             bodies: lw.bodies,
             consts: lw.consts,
             regions,
             named,
+            unbound_names,
             reg_count: lw.next_reg as usize,
             input_count: ob.input_count,
         }
+    }
+
+    /// The reference evaluator's error for a read of the never-bound
+    /// `slot`.
+    fn unbound(&self, slot: u32) -> String {
+        let name = self
+            .unbound_names
+            .iter()
+            .find(|(s, _)| *s == slot)
+            .map_or("?", |(_, name)| name.as_str());
+        format!("unbound variable `{name}`")
     }
 
     /// Number of instructions in the main stream (bodies excluded) — the
@@ -986,7 +1011,7 @@ impl Program {
             Instr::Coerce { a, kind, ctx } => {
                 coerce_sort(regs[*a as usize].sort(), *kind, ctx)?;
             }
-            Instr::Unbound { slot } => return Err(format!("unbound slot {slot}")),
+            Instr::Unbound { slot } => return Err(self.unbound(*slot)),
             Instr::Check { r } => match &regs[*r as usize] {
                 Value::Bool(true) => {}
                 Value::Bool(false) => return Ok(Flow::Reject),
@@ -1154,7 +1179,7 @@ impl Program {
     /// # Errors
     ///
     /// Returns the reference evaluator's error (with the `"evaluating goal:"`
-    /// region prefix) when the formula cannot be evaluated — an unbound slot,
+    /// region prefix) when the formula cannot be evaluated — an unbound variable,
     /// an ill-sorted operand, or an oversized quantifier range.
     pub fn eval_formula(
         &self,
@@ -1980,10 +2005,9 @@ impl Program {
                 }
                 Ok(())
             }
-            Instr::Unbound { slot } => Err((
-                first_lane(&exec.active).unwrap_or(0),
-                format!("unbound slot {slot}"),
-            )),
+            Instr::Unbound { slot } => {
+                Err((first_lane(&exec.active).unwrap_or(0), self.unbound(*slot)))
+            }
             Instr::Check { r } => {
                 let (m, err) = mask_col(&exec.cols[*r as usize], exec.active);
                 exec.active = mask_and(exec.active, m);
@@ -2250,7 +2274,7 @@ impl Program {
             Instr::Coerce { a, kind, ctx } => {
                 coerce_sort(lane_sort(&exec.cols[*a as usize], lane), *kind, ctx)
             }
-            Instr::Unbound { slot } => Err(format!("unbound slot {slot}")),
+            Instr::Unbound { slot } => Err(self.unbound(*slot)),
             Instr::Check { .. } | Instr::CheckGoal { .. } => {
                 Err("internal: check inside quantifier body".to_string())
             }
@@ -2397,6 +2421,9 @@ mod tests {
             le(int(0), var_int("i")),
         ));
         compare_with_reference(&ob, &[], vec![]);
+        // A variable that is neither an input nor a define.
+        let ob = Obligation::new("free").goal(eq(var_int("y"), int(0)));
+        compare_with_reference(&ob, &["x"], vec![Value::Int(0)]);
     }
 
     #[test]
